@@ -1,8 +1,8 @@
 """Core guarded-command framework: the paper's Section 2 model.
 
 Execution-engine architecture — **System = semantics, Kernel = speed,
-Encoding/Batch = scale, Sharding = parallel scale** (the full guide
-lives in ``docs/architecture.md``):
+Encoding/Batch = scale, compiled exploration = exhaustive scale** (the
+full guide lives in ``docs/architecture.md``):
 
 * :class:`~repro.core.system.System` is the readable, validating
   reference implementation of the step semantics: every guard and outcome
@@ -32,15 +32,15 @@ lives in ``docs/architecture.md``):
   reproduces the scalar engines' sampling *distributions* — not their
   random streams — and ``engine="scalar"`` remains the per-trial
   equivalence oracle.
-* :mod:`repro.stabilization.sharding` stacks parallelism on the same
-  compiled tables: ``StateSpace.explore(shards=N | "auto")`` partitions
-  the exploration frontier across worker processes, each expanding its
-  slice in code space over the immutable
-  :class:`~repro.core.encoding.CompiledKernelTables`, and merges the
-  per-worker results back into the canonical id space.  Unlike the
-  batch tier's distribution-level equivalence, sharded exploration is
-  **bit-for-bit** identical to the sequential explorer for every shard
-  count — ``shards=1`` is the oracle.
+* :mod:`repro.stabilization.sharding` runs exhaustive exploration on
+  the same compiled tables: ``StateSpace.explore`` expands blocks of
+  configuration ranks in code space over the immutable
+  :class:`~repro.core.encoding.CompiledKernelTables` — in-process by
+  default, across worker processes with ``shards=N | "auto"`` — and
+  merges the blocks into the canonical id space.  Unlike the batch
+  tier's distribution-level equivalence, compiled exploration is
+  **bit-for-bit** identical to the reference walk for every shard
+  count — ``use_kernel=False`` is the oracle.
 """
 
 from repro.core.actions import (

@@ -180,8 +180,20 @@ class StateEncoding:
         return matrix
 
     def decode_batch(self, matrix: np.ndarray) -> list[Configuration]:
-        """``(T, N)`` code matrix → configurations."""
-        return [self.decode(row) for row in matrix]
+        """``(T, N)`` code matrix → configurations (one pass per process)."""
+        matrix = np.asarray(matrix)
+        if matrix.ndim != 2 or matrix.shape[1] != self.num_processes:
+            raise ModelError(
+                f"code matrix has shape {matrix.shape},"
+                f" expected (T, {self.num_processes})"
+            )
+        if (matrix >= self._sizes).any() or (matrix < 0).any():
+            raise ModelError("code matrix has out-of-range codes")
+        columns = [
+            [states[code] for code in column]
+            for states, column in zip(self._states, matrix.T.tolist())
+        ]
+        return list(zip(*columns))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -442,15 +454,11 @@ class ExpansionContext:
             for code, weight in zip(codes, self.config_weights)
         )
 
-    def configuration_of_rank(self, rank: int) -> Configuration:
-        """Decode a mixed-radix configuration rank back to a configuration."""
-        encoding = self.tables.encoding
-        return tuple(
-            encoding.decode_local(process, (rank // weight) % size)
-            for process, (weight, size) in enumerate(
-                zip(self.config_weights, self.sizes)
-            )
-        )
+    def configurations_of_ranks(
+        self, ranks: Sequence[int]
+    ) -> list[Configuration]:
+        """Decode mixed-radix configuration ranks back to configurations."""
+        return self.tables.encoding.decode_batch(self.codes_of_ranks(ranks))
 
     def deterministic_successor_ranks(
         self, ranks: np.ndarray

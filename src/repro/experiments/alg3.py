@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.two_process import BothTrueSpec, make_two_process_system
+from repro.core.kernel import TransitionKernel
 from repro.experiments.base import ExperimentResult
 from repro.markov.builder import build_chain
 from repro.markov.hitting import (
@@ -33,6 +34,7 @@ from repro.schedulers.relations import (
     SynchronousRelation,
 )
 from repro.stabilization.classify import classify
+from repro.stabilization.statespace import StateSpace
 from repro.transformer.coin_toss import TransformedSpec, make_transformed_system
 
 EXPERIMENT_ID = "ALG3"
@@ -48,12 +50,16 @@ def run_alg3(engine: str = "auto") -> ExperimentResult:
     rows = []
 
     verdicts = {}
+    # One kernel per system, so its tables compile once: for the three
+    # explorations here, and for the transformed system's chain builds.
+    kernel = TransitionKernel(system)
     for relation in (
         CentralRelation(),
         DistributedRelation(),
         SynchronousRelation(),
     ):
-        verdict = classify(system, spec, relation)
+        space = StateSpace.explore(system, relation, kernel=kernel)
+        verdict = classify(system, spec, relation, space=space)
         verdicts[relation.name] = verdict
         rows.append(
             {
@@ -66,6 +72,7 @@ def run_alg3(engine: str = "auto") -> ExperimentResult:
         )
 
     transformed = make_transformed_system(system)
+    transformed_kernel = TransitionKernel(transformed)
     tspec = TransformedSpec(spec, system)
     absorptions = {}
     for name, distribution in (
@@ -73,7 +80,9 @@ def run_alg3(engine: str = "auto") -> ExperimentResult:
         ("distributed-randomized", DistributedRandomizedDistribution()),
         ("central-randomized", CentralRandomizedDistribution()),
     ):
-        chain = build_chain(transformed, distribution, engine=engine)
+        chain = build_chain(
+            transformed, distribution, kernel=transformed_kernel, engine=engine
+        )
         absorption = absorption_probabilities(
             chain, chain.mark(tspec.legitimate)
         )

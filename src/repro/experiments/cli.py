@@ -341,7 +341,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if resolved > 1:
             print(f"(explorations sharded across {resolved} workers)")
         else:
-            print("(explorations running sequentially: 1 shard resolved)")
+            print("(explorations running in-process: 1 shard resolved)")
     if getattr(args, "fused", None) is not None:
         set_default_fusion(args.fused)
         if args.fused:

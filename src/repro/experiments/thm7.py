@@ -27,6 +27,7 @@ from repro.algorithms.token_ring import (
     make_token_ring_system,
 )
 from repro.algorithms.two_process import BothTrueSpec, make_two_process_system
+from repro.core.kernel import TransitionKernel
 from repro.experiments.base import ExperimentResult
 from repro.graphs.generators import figure3_chain, star
 from repro.markov.builder import build_chain
@@ -92,11 +93,16 @@ def run_thm7(engine: str = "auto") -> ExperimentResult:
         ),
     )
     for label, system, spec in _cases():
+        # One kernel per system: exploration and both chain builds share
+        # its compiled tables.
+        kernel = TransitionKernel(system)
         for sched_label, relation, distribution in schedulers:
-            space = StateSpace.explore(system, relation)
+            space = StateSpace.explore(system, relation, kernel=kernel)
             legitimate = space.legitimate_mask(spec.legitimate)
             possible, _ = possible_convergence(space, legitimate)
-            chain = build_chain(system, distribution, engine=engine)
+            chain = build_chain(
+                system, distribution, kernel=kernel, engine=engine
+            )
             absorption = absorption_probabilities(
                 chain, chain.mark(spec.legitimate)
             )

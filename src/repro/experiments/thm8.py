@@ -31,6 +31,7 @@ from repro.algorithms.token_ring import (
     make_token_ring_system,
 )
 from repro.algorithms.two_process import BothTrueSpec, make_two_process_system
+from repro.core.kernel import TransitionKernel
 from repro.experiments.base import ExperimentResult
 from repro.graphs.generators import complete, figure3_chain
 from repro.markov.builder import build_chain
@@ -81,13 +82,21 @@ def run_thm8(engine: str = "auto") -> ExperimentResult:
         transformed = make_transformed_system(base_system)
         spec = TransformedSpec(base_spec, base_system)
 
-        space = StateSpace.explore(transformed, SynchronousRelation())
+        # Exploration and the chain build share one kernel's compiled
+        # tables.
+        kernel = TransitionKernel(transformed)
+        space = StateSpace.explore(
+            transformed, SynchronousRelation(), kernel=kernel
+        )
         legitimate = space.legitimate_mask(spec.legitimate)
         closure_ok = not check_strong_closure(space, legitimate)
         possible, _ = possible_convergence(space, legitimate)
 
         chain = build_chain(
-            transformed, SynchronousDistribution(), engine=engine
+            transformed,
+            SynchronousDistribution(),
+            kernel=kernel,
+            engine=engine,
         )
         summary = hitting_summary(chain, chain.mark(spec.legitimate))
 

@@ -622,10 +622,10 @@ def _build_frontier(
         np.concatenate(id_parts) if id_parts else np.zeros(0, np.int64),
         np.concatenate(prob_parts) if prob_parts else np.zeros(0),
     )
-    states = [
-        context.configuration_of_rank(rank) for rank in rank_of_id
-    ]
     codes = context.codes_of_ranks(rank_of_id) if rank_of_id else None
+    states = (
+        [] if codes is None else context.tables.encoding.decode_batch(codes)
+    )
     return MarkovChain.from_arrays(
         system,
         states,

@@ -498,9 +498,7 @@ class ParametricChain:
                 atoms.extend(chunk[4])
 
         self.num_states = len(rank_of_id)
-        self.states = [
-            context.configuration_of_rank(rank) for rank in rank_of_id
-        ]
+        self.states = context.configurations_of_ranks(rank_of_id)
         self._codes = (
             context.codes_of_ranks(rank_of_id) if rank_of_id else None
         )

@@ -33,7 +33,6 @@ from repro.stabilization.profile import (
     convergence_profile,
 )
 from repro.stabilization.sharding import (
-    explore_sharded,
     get_default_shards,
     resolve_shards,
     set_default_shards,
@@ -82,7 +81,6 @@ __all__ = [
     "LabeledEdge",
     "subset_to_mask",
     "mask_to_subset",
-    "explore_sharded",
     "resolve_shards",
     "set_default_shards",
     "get_default_shards",

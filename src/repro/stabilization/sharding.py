@@ -1,40 +1,39 @@
-"""Sharded parallel state-space exploration — the scale tier of explore.
+"""Compiled code-space exploration — the default engine of explore.
 
-:meth:`repro.stabilization.statespace.StateSpace.explore` walks the
-transition digraph one configuration at a time, resolving guards through
-the memoized :class:`~repro.core.kernel.TransitionKernel`.  This module
-partitions that walk across ``multiprocessing`` workers:
+:meth:`repro.stabilization.statespace.StateSpace.explore` runs this
+module whenever the system compiles to
+:class:`~repro.core.encoding.CompiledKernelTables` (at most
+:data:`MAX_SHARDABLE_PROCESSES` processes, neighborhood space within the
+compilation budget).  Exploration happens entirely in *code space*:
+configurations are mixed-radix ranks over the
+:class:`~repro.core.encoding.StateEncoding`, enabledness is one gather
+per block, and a successor is integer arithmetic instead of tuple
+surgery plus dict interning.  ``shards=1`` (the default) expands every
+block in-process; ``shards > 1`` spreads the blocks across
+``multiprocessing`` workers that receive the immutable tables (read-only
+NumPy storage, so shipping them is one cheap pickle — or free
+copy-on-write under the ``fork`` start method).
 
-* every worker receives the immutable
-  :class:`~repro.core.encoding.CompiledKernelTables` (read-only NumPy
-  storage, so shipping it is one cheap pickle — or free copy-on-write
-  under the ``fork`` start method) and expands its slice of the frontier
-  entirely in *code space*: configurations are mixed-radix ranks over the
-  :class:`~repro.core.encoding.StateEncoding`, enabledness is one gather
-  per slice, and a successor is integer arithmetic instead of tuple
-  surgery plus dict interning;
-* the master merges the per-worker results back into one canonical
-  :class:`~repro.stabilization.statespace.StateSpace` by replaying each
-  slice in frontier order, so interned ids, edge order, and enabled
-  tuples come out **bit-for-bit identical** to the sequential explorer
-  (``shards=1`` is the equivalence oracle — see
-  ``tests/test_sharded_explore.py``).
+The result is **bit-for-bit identical** to the reference walk
+(``use_kernel=False``): interned ids, edge order, and enabled tuples all
+match, because every block is replayed in frontier order (see
+``tests/test_sharded_explore.py``).
 
-Two partitioning modes cover the two exploration modes:
+Two modes cover the two exploration modes:
 
 * **full space** (``initial=None``): every configuration is a seed and
   its canonical id *is* its enumeration rank, so the id space needs no
-  merge at all — workers take contiguous rank ranges and the master
-  concatenates their edge lists;
+  merge at all — blocks are contiguous rank ranges whose edge lists
+  concatenate;
 * **reachable fragment** (explicit ``initial``): a level-synchronous
-  parallel BFS; each level's frontier is split across workers, and the
-  master interns discovered ranks in (source order, edge order) — the
-  exact order the sequential FIFO explorer would have used.
+  BFS; each level's frontier is split into blocks, and the master
+  interns discovered ranks in (source order, edge order) — the exact
+  order the reference FIFO walk uses.
 
-Entry points: :func:`explore_sharded` (called by ``StateSpace.explore``
-when ``shards > 1``), :func:`resolve_shards`, and the process-wide
-default used by the ``--shards`` CLI flag
-(:func:`set_default_shards` / :func:`get_default_shards`).
+Entry points: :func:`explore_compiled` (called by ``StateSpace.explore``),
+:func:`resolve_shards`, and the process-wide default used by the
+``--shards`` CLI flag (:func:`set_default_shards` /
+:func:`get_default_shards`).
 """
 
 from __future__ import annotations
@@ -48,44 +47,44 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 import numpy as np
 
 from repro.core.configuration import Configuration
-from repro.core.encoding import (
-    CompiledKernelTables,
-    ExpansionContext,
-    compile_tables,
-)
-from repro.core.kernel import TransitionKernel
+from repro.core.encoding import CompiledKernelTables, ExpansionContext
 from repro.core.system import System
-from repro.errors import ModelError, StateSpaceError
-from repro.schedulers.relations import (
-    CentralRelation,
-    SchedulerRelation,
-    SynchronousRelation,
-)
+from repro.errors import SchedulerError, StateSpaceError
+from repro.schedulers.relations import SchedulerRelation
 
 # One-way dependency: statespace imports this module only lazily inside
 # ``StateSpace.explore``, so importing its helpers here is cycle-free.
-from repro.stabilization.statespace import subset_to_mask
-
-if TYPE_CHECKING:  # pragma: no cover - forward reference only
-    from repro.stabilization.statespace import StateSpace
+from repro.stabilization.statespace import (
+    StateSpace,
+    mask_to_subset,
+    subset_to_mask,
+)
 
 __all__ = [
     "ExpansionContext",
-    "explore_sharded",
+    "explore_compiled",
     "resolve_shards",
     "set_default_shards",
     "get_default_shards",
     "MAX_SHARDABLE_PROCESSES",
 ]
 
-#: Activation bitmasks travel as int64-friendly Python ints; beyond this
-#: many processes the sharded path defers to the sequential explorer
-#: (whose exploration budget such systems exceed anyway).
+#: Activation bitmasks travel as int64 words; beyond this many processes
+#: ``StateSpace.explore`` takes the kernel walk instead (whose
+#: exploration budget such systems exceed anyway).
 MAX_SHARDABLE_PROCESSES = 62
 
 #: Frontiers smaller than this are expanded in-process: the pickle +
 #: scheduling overhead of a worker round-trip exceeds the work.
 MIN_FRONTIER_FOR_WORKERS = 256
+
+#: Most sources expanded in one block: bounds the ``(block, processes)``
+#: gather matrices, so a large space costs no more scratch memory than a
+#: moderate one.
+MAX_BLOCK = 1 << 16
+
+#: Sources whose edges are turned into Python tuples at once.
+REPLAY_SOURCES = 1024
 
 #: Wall-clock budget (seconds) for one pool task batch.  A worker that
 #: dies mid-task (OOM kill, SIGKILL) loses its task, and a bare
@@ -97,11 +96,6 @@ POOL_TASK_TIMEOUT = 600.0
 #: Process-wide default shard count, used when ``StateSpace.explore`` is
 #: called with ``shards=None`` — set by the ``--shards`` CLI flag.
 _DEFAULT_SHARDS = 1
-
-#: Relations whose deterministic-block expansion is a pure array
-#: expression (exact types: a subclass may redefine ``subsets``).
-#: Order matters — index 0 is the central relation.
-_VECTOR_RELATIONS = (CentralRelation, SynchronousRelation)
 
 
 def set_default_shards(shards: int | str) -> int:
@@ -151,13 +145,14 @@ def resolve_shards(shards: int | str | None) -> int:
 
 
 # ----------------------------------------------------------------------
-# the compiled expansion shared by workers and the in-process fallback
+# the compiled expansion shared by the in-process path and the workers
 # ----------------------------------------------------------------------
 class _ShardContext(ExpansionContext):
-    """Per-worker read-only state: shared lookups plus the relation.
+    """Read-only expansion state: shared lookups plus the relation.
 
-    Built once per worker process (or once in the master for small
-    frontiers).
+    Built once per exploration in-process, or once per worker process.
+    Subset plans are cached per enabled pattern, so ``relation.subsets``
+    runs once per distinct enabled set of the whole exploration.
     """
 
     def __init__(
@@ -169,9 +164,53 @@ class _ShardContext(ExpansionContext):
         super().__init__(tables)
         self.relation = relation
         self.action_mode = action_mode
+        self.bits = np.int64(1) << np.arange(
+            self.num_processes, dtype=np.int64
+        )
+        self._plans: dict[
+            tuple[int, ...], list[tuple[int, tuple[int, ...]]]
+        ] = {}
+        self._incidences: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def plan(
+        self, enabled: tuple[int, ...]
+    ) -> list[tuple[int, tuple[int, ...]]]:
+        """``(mask, subset)`` per allowed subset, in ``relation.subsets``
+        order; a repeated mask keeps its first subset, as the walk's
+        keep-first edge dedup does."""
+        plan = self._plans.get(enabled)
+        if plan is None:
+            allowed = subset_to_mask(enabled)
+            by_mask: dict[int, tuple[int, ...]] = {}
+            for subset in self.relation.subsets(enabled):
+                mask = subset_to_mask(subset)
+                if mask & ~allowed:
+                    raise SchedulerError(
+                        f"scheduler chose a disabled process in {subset}"
+                    )
+                by_mask.setdefault(mask, subset)
+            plan = list(by_mask.items())
+            self._plans[enabled] = plan
+        return plan
+
+    def incidence(self, pattern: int) -> tuple[np.ndarray, np.ndarray]:
+        """Subset masks and ``(subsets, processes)`` 0/1 incidence matrix
+        of one enabled bitmask, in plan order (none for terminals, whose
+        subsets the walk never asks for)."""
+        cached = self._incidences.get(pattern)
+        if cached is None:
+            enabled = mask_to_subset(pattern)
+            masks = [mask for mask, _ in self.plan(enabled)] if enabled else []
+            mask_array = np.array(masks, dtype=np.int64)
+            cached = (
+                mask_array,
+                ((mask_array[:, None] & self.bits) != 0).astype(np.int64),
+            )
+            self._incidences[pattern] = cached
+        return cached
 
 
-#: Wire format a worker sends back, all flat and cheap to pickle:
+#: Wire format of one expanded block, all flat and cheap to pickle:
 #: (per-source enabled counts, flat enabled process ids, per-source edge
 #:  counts, flat edge masks, flat edge target ranks).  Arrays are int64;
 #: ``targets`` degrades to a Python list when ranks exceed int64.
@@ -183,20 +222,19 @@ _ChunkResult = tuple[
 def _expand_block(
     context: _ShardContext, codes: np.ndarray, ranks: Sequence[int]
 ) -> _ChunkResult:
-    """Expand one slice of sources entirely in code space.
+    """Expand one block of sources entirely in code space.
 
-    Reproduces the sequential explorer's per-source behavior exactly —
-    same ``enabled`` tuples (sorted process ids), same subset enumeration
+    Reproduces the reference walk's per-source behavior exactly — same
+    ``enabled`` tuples (sorted process ids), same subset enumeration
     through ``relation.subsets``, same branch order as
     :func:`repro.core.system.compose_weighted_targets`, and the same
     keep-first edge dedup — but a successor is ``source rank + Σ (new
     code − old code) · weight`` instead of tuple surgery, and enabledness
-    is one vectorized gather for the whole slice.
+    is one vectorized gather for the whole block.
 
     Deterministic blocks (every enabled cell has one applicable action
-    with one outcome — the paper's Algorithms 1 and 2) under the central
-    or synchronous relation skip the per-source loop entirely: edges are
-    emitted as whole-block array expressions.
+    with one outcome — the paper's Algorithms 1 and 2) skip the
+    per-source loop under any relation (:func:`_deterministic_edges`).
     """
     tables = context.tables
     keys = tables.pack(codes)
@@ -207,53 +245,21 @@ def _expand_block(
     enabled_counts = enabled_matrix.sum(axis=1, dtype=np.int64)
     enabled_cols = np.nonzero(enabled_matrix)[1].astype(np.int64)
 
-    relation = context.relation
     first_only = context.action_mode == "first"
 
     # ------------------------------------------------------------------
-    # vectorized layer: deterministic cells, central/synchronous relation
+    # deterministic-block layer: any relation, whole-block arrays
     # ------------------------------------------------------------------
-    if context.int64_safe and type(relation) in _VECTOR_RELATIONS:
-        candidate = enabled_matrix & (
-            (counts_matrix == 1) if not first_only else enabled_matrix
-        )
-        deterministic = candidate & (context.arity[bases_matrix] == 1)
-        if np.array_equal(deterministic, enabled_matrix):
-            rank_array = np.fromiter(
-                ranks, dtype=np.int64, count=len(codes)
-            )
-            # Post-state delta of each (source, process) solo move:
-            # (new code − old code) · weight — zero where disabled.
-            delta = np.where(
-                enabled_matrix,
-                (context.first_outcome[bases_matrix] - codes.astype(np.int64))
-                * context.weights_row,
-                0,
-            )
-            if type(relation) is _VECTOR_RELATIONS[0]:  # central
-                source_idx, movers = np.nonzero(enabled_matrix)
-                masks = np.int64(1) << movers
-                targets = rank_array[source_idx] + delta[source_idx, movers]
-                return (
-                    enabled_counts,
-                    enabled_cols,
-                    enabled_counts,
-                    masks,
-                    targets,
-                )
-            # synchronous: one edge per non-terminal source, all movers.
-            bits = np.int64(1) << np.arange(
-                context.num_processes, dtype=np.int64
-            )
-            nonterminal = enabled_counts > 0
-            masks = (enabled_matrix * bits).sum(axis=1)[nonterminal]
-            targets = (rank_array + delta.sum(axis=1))[nonterminal]
+    if context.int64_safe:
+        single = enabled_matrix if first_only else counts_matrix == 1
+        deterministic = single & (context.arity[bases_matrix] == 1)
+        if not (enabled_matrix & ~deterministic).any():
             return (
                 enabled_counts,
                 enabled_cols,
-                nonterminal.astype(np.int64),
-                masks,
-                targets,
+                *_deterministic_edges(
+                    context, codes, ranks, enabled_matrix, bases_matrix
+                ),
             )
 
     # ------------------------------------------------------------------
@@ -266,9 +272,6 @@ def _expand_block(
     flat_enabled = enabled_cols.tolist()
     outcome_codes = context.outcome_codes
     weights = context.config_weights
-    # Subset/mask plans repeat across sources sharing an enabled set;
-    # enumerate each distinct enabled tuple through the relation once.
-    plan_cache: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
 
     edge_counts: list[int] = []
     edge_masks: list[int] = []
@@ -284,14 +287,7 @@ def _expand_block(
             row = rows[index]
             row_counts = counts[index]
             row_bases = bases[index]
-            plan = plan_cache.get(enabled)
-            if plan is None:
-                plan = [
-                    (subset_to_mask(subset), subset)
-                    for subset in relation.subsets(enabled)
-                ]
-                plan_cache[enabled] = plan
-            for mask, subset in plan:
+            for mask, subset in context.plan(enabled):
                 # Edges dedup keep-first *within* a subset (distinct
                 # subsets have distinct masks, so cross-subset duplicates
                 # cannot occur); a subset with a single branch — one
@@ -377,6 +373,54 @@ def _expand_block(
     )
 
 
+def _deterministic_edges(
+    context: _ShardContext,
+    codes: np.ndarray,
+    ranks: Sequence[int],
+    enabled_matrix: np.ndarray,
+    bases_matrix: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge counts, masks and target ranks of a deterministic block.
+
+    Every subset step has exactly one target, ``rank + Σ delta`` over its
+    movers, and distinct subsets have distinct masks, so no dedup is
+    needed.  Sources are grouped by enabled bitmask: each distinct
+    pattern's plan becomes a ``(subsets, processes)`` incidence matrix,
+    its sources' targets are one product ``delta[rows] @ incidence.T``,
+    and masks and targets are scattered to per-source offsets in plan
+    order — whatever order ``relation.subsets`` yields.
+    """
+    rank_array = np.fromiter(ranks, dtype=np.int64, count=len(codes))
+    # Post-state delta of each (source, process) solo move:
+    # (new code − old code) · weight — zero where disabled.
+    delta = np.where(
+        enabled_matrix,
+        (context.first_outcome[bases_matrix] - codes.astype(np.int64))
+        * context.weights_row,
+        0,
+    )
+    patterns, group = np.unique(
+        enabled_matrix @ context.bits, return_inverse=True
+    )
+    plans = [context.incidence(pattern) for pattern in patterns.tolist()]
+    edge_counts = np.array(
+        [len(plan_masks) for plan_masks, _ in plans], dtype=np.int64
+    )[group]
+    offsets = np.cumsum(edge_counts) - edge_counts
+    masks = np.empty(int(edge_counts.sum()), dtype=np.int64)
+    targets = np.empty_like(masks)
+    order = np.argsort(group, kind="stable")
+    stops = np.cumsum(np.bincount(group, minlength=len(plans))).tolist()
+    start = 0
+    for (plan_masks, incidence), stop in zip(plans, stops):
+        rows = order[start:stop]
+        start = stop
+        slots = offsets[rows, None] + np.arange(len(plan_masks))
+        masks[slots] = plan_masks
+        targets[slots] = rank_array[rows, None] + delta[rows] @ incidence.T
+    return edge_counts, masks, targets
+
+
 # ----------------------------------------------------------------------
 # worker plumbing
 # ----------------------------------------------------------------------
@@ -393,46 +437,30 @@ def _init_worker(
     _WORKER_CONTEXT = _ShardContext(tables, relation, action_mode)
 
 
-def _expand_rank_range(
-    bounds: tuple[int, int], context: _ShardContext | None = None
+def _expand_ranks(
+    ranks: Sequence[int], context: _ShardContext | None = None
 ) -> _ChunkResult:
-    """Full-space mode: expand ranks ``[start, stop)``.
+    """Expand one block of ranks: a ``range`` of the full space (cheap to
+    pickle) or a slice of a reachable frontier.
 
     As a pool task ``context`` defaults to the worker's initialized
-    global; the master's in-process fallback passes its own.
+    global; the in-process path passes its own.
     """
     if context is None:
         context = _WORKER_CONTEXT
     assert context is not None
-    start, stop = bounds
-    ranks = range(start, stop)
-    codes = context.codes_of_ranks(ranks)
-    return _expand_block(context, codes, ranks)
+    return _expand_block(context, context.codes_of_ranks(ranks), ranks)
 
 
-def _expand_rank_list(
-    ranks: list[int], context: _ShardContext | None = None
-) -> _ChunkResult:
-    """Frontier mode: expand an explicit rank slice.
-
-    As a pool task ``context`` defaults to the worker's initialized
-    global; the master's in-process fallback passes its own.
-    """
-    if context is None:
-        context = _WORKER_CONTEXT
-    assert context is not None
-    codes = context.codes_of_ranks(ranks)
-    return _expand_block(context, codes, ranks)
-
-
-def _chunk_bounds(total: int, shards: int) -> list[tuple[int, int]]:
-    """Near-equal contiguous ``[start, stop)`` chunks covering ``total``."""
-    shards = min(shards, total)
-    step, remainder = divmod(total, shards)
+def _blocks(total: int, shards: int) -> list[tuple[int, int]]:
+    """Near-equal contiguous ``[start, stop)`` blocks covering ``total``:
+    one per shard, but never more than :data:`MAX_BLOCK` sources each."""
+    count = min(total, max(shards, -(-total // MAX_BLOCK)))
+    step, remainder = divmod(total, count)
     bounds = []
     start = 0
-    for shard in range(shards):
-        stop = start + step + (1 if shard < remainder else 0)
+    for block in range(count):
+        stop = start + step + (1 if block < remainder else 0)
         bounds.append((start, stop))
         start = stop
     return bounds
@@ -508,7 +536,7 @@ class _SupervisedPool:
                     self._close()
                     _warn_pool_failure(
                         error,
-                        "falling back to in-process sequential expansion"
+                        "falling back to in-process expansion"
                         if retry
                         else "retrying the batch on a fresh pool",
                     )
@@ -527,134 +555,100 @@ class _SupervisedPool:
 
 
 # ----------------------------------------------------------------------
-# the sharded explorer
+# the compiled explorer
 # ----------------------------------------------------------------------
-def explore_sharded(
+class _Expander:
+    """Expands rank sequences block by block: in-process, or on a worker
+    pool (created on first use) for large inputs when ``shards > 1``."""
+
+    def __init__(self, context: _ShardContext, shards: int) -> None:
+        self.context = context
+        self.shards = shards
+        self.pool: _SupervisedPool | None = None
+
+    def __call__(self, ranks: Sequence[int]) -> Iterable[_ChunkResult]:
+        pooled = self.shards > 1 and len(ranks) >= MIN_FRONTIER_FOR_WORKERS
+        chunks = [
+            ranks[start:stop]
+            for start, stop in _blocks(
+                len(ranks), self.shards if pooled else 1
+            )
+        ]
+        if not pooled:
+            # Lazily, so one block's arrays are alive at a time.
+            return (_expand_ranks(chunk, self.context) for chunk in chunks)
+        if self.pool is None:
+            context = self.context
+            self.pool = _SupervisedPool(
+                self.shards,
+                context.tables,
+                context.relation,
+                context.action_mode,
+                _expand_ranks,
+                lambda chunks: [
+                    _expand_ranks(chunk, context) for chunk in chunks
+                ],
+            )
+        return self.pool.map(chunks)
+
+    def close(self) -> None:
+        if self.pool is not None:
+            self.pool.close()
+
+
+def explore_compiled(
     system: System,
     relation: SchedulerRelation,
     initial: Iterable[Configuration] | None,
     max_configurations: int,
     action_mode: str,
-    kernel: TransitionKernel | None,
-    shards: int,
-) -> "StateSpace":
-    """Sharded equivalent of ``StateSpace.explore`` (see module docs).
-
-    Falls back to the sequential explorer when the system cannot take the
-    compiled-table fast path (neighborhood space over the compilation
-    budget, or more than :data:`MAX_SHARDABLE_PROCESSES` processes) — the
-    result is identical either way, sharding is purely an execution
-    strategy.
-    """
-    from repro.stabilization.statespace import StateSpace
-
-    if action_mode not in ("all", "first"):
-        # Same rejection the sequential path gets from
-        # compose_weighted_targets — sharding must not relax validation.
-        raise ModelError(f"unknown action_mode {action_mode!r}")
-
-    def sequential() -> "StateSpace":
-        return StateSpace.explore(
-            system,
-            relation,
-            initial=initial,
-            max_configurations=max_configurations,
-            action_mode=action_mode,
-            kernel=kernel,
-            shards=1,
-        )
-
-    if shards <= 1 or system.num_processes > MAX_SHARDABLE_PROCESSES:
-        return sequential()
-    if initial is None and system.num_configurations() > max_configurations:
-        # Same immediate rejection the sequential path gives — don't pay
-        # for table compilation first.
-        raise StateSpaceError(
-            f"configuration space has {system.num_configurations()} states,"
-            f" budget is {max_configurations}"
-        )
-    if kernel is None:
-        kernel = TransitionKernel(system)
-    try:
-        tables = compile_tables(kernel)
-    except ModelError:
-        # Neighborhood space over the compilation budget: the batch tier
-        # cannot represent this system; take the scalar path.
-        return sequential()
-
-    if initial is None:
-        return _explore_full(
-            system, relation, max_configurations, action_mode, tables, shards
-        )
-    return _explore_frontier(
-        system,
-        relation,
-        list(initial),
-        max_configurations,
-        action_mode,
-        tables,
-        shards,
-    )
-
-
-def _explore_full(
-    system: System,
-    relation: SchedulerRelation,
-    max_configurations: int,
-    action_mode: str,
     tables: CompiledKernelTables,
     shards: int,
-) -> "StateSpace":
-    """Full-space mode: ids are enumeration ranks; no id merge needed."""
-    from repro.stabilization.statespace import StateSpace
+) -> StateSpace:
+    """``StateSpace.explore`` over compiled tables (see module docs).
 
-    space_size = system.num_configurations()
-    if space_size > max_configurations:
-        raise StateSpaceError(
-            f"configuration space has {space_size} states,"
-            f" budget is {max_configurations}"
-        )
-    if space_size < MIN_FRONTIER_FOR_WORKERS:
-        bounds = [(0, space_size)]
-    else:
-        bounds = _chunk_bounds(space_size, shards)
-    if len(bounds) > 1:
-        # The fallback context is built only if the pool actually breaks.
-        local: list[_ShardContext] = []
-
-        def fallback(chunks: list) -> list[_ChunkResult]:
-            if not local:
-                local.append(_ShardContext(tables, relation, action_mode))
-            return [_expand_rank_range(chunk, local[0]) for chunk in chunks]
-
-        pool = _SupervisedPool(
-            len(bounds),
-            tables,
-            relation,
-            action_mode,
-            _expand_rank_range,
-            fallback,
-        )
-        try:
-            results = pool.map(bounds)
-        finally:
-            pool.close()
-    else:
-        context = _ShardContext(tables, relation, action_mode)
-        results = [_expand_rank_range(bounds[0], context)]
-
+    ``shards=1`` expands every block in-process; more shards spread the
+    blocks over a worker pool.  The result's ``path`` is ``"sharded"``
+    when a pool expanded any block, ``"compiled"`` otherwise.
+    """
+    context = _ShardContext(tables, relation, action_mode)
+    expand = _Expander(context, shards)
     edges: list[list[tuple[int, int]]] = []
     enabled_lists: list[tuple[int, ...]] = []
-    for result in results:
-        _append_chunk(result, enabled_lists, edges)
-
-    configurations = list(system.all_configurations())
-    index = {
-        configuration: rank
-        for rank, configuration in enumerate(configurations)
-    }
+    try:
+        if initial is None:
+            # Full space: ids are enumeration ranks; no id merge needed.
+            # Edges reference one shared int object per id, as the walk's
+            # do, instead of a fresh int per edge.
+            ids = np.arange(system.num_configurations()).astype(object)
+            for result in expand(range(len(ids))):
+                _append_chunk(
+                    result,
+                    enabled_lists,
+                    edges,
+                    lambda targets: ids[targets].tolist(),
+                )
+            configurations = list(system.all_configurations())
+            index = dict(zip(configurations, ids.tolist()))
+        else:
+            configurations, index = _explore_frontier(
+                context,
+                list(initial),
+                max_configurations,
+                expand,
+                enabled_lists,
+                edges,
+            )
+    finally:
+        expand.close()
     return StateSpace(
-        system, relation, configurations, index, edges, enabled_lists
+        system,
+        relation,
+        configurations,
+        index,
+        edges,
+        enabled_lists,
+        path="compiled" if expand.pool is None else "sharded",
     )
 
 
@@ -662,49 +656,46 @@ def _append_chunk(
     result: _ChunkResult,
     enabled_lists: list[tuple[int, ...]],
     edges: list[list[tuple[int, int]]],
-    intern=None,
+    to_ids: Callable[["np.ndarray | list[int]"], list[int]],
 ) -> None:
-    """Replay one chunk's flat wire arrays into per-source Python lists.
-
-    ``intern`` (frontier mode) maps target ranks to canonical ids while
-    preserving (source order, edge order); full-space mode passes
-    ``None`` because there the rank *is* the id.
-    """
+    """Replay one chunk's flat wire arrays into per-source Python lists,
+    mapping target ranks to canonical ids with ``to_ids`` (in edge
+    order)."""
     en_counts, en_cols, edge_counts, masks, targets = result
     cols = iter(en_cols.tolist())
     enabled_lists.extend(
         tuple(islice(cols, count)) for count in en_counts.tolist()
     )
-    target_list = targets.tolist() if isinstance(targets, np.ndarray) else targets
-    if intern is not None:
-        target_list = [intern(rank) for rank in target_list]
-    pairs = iter(zip(masks.tolist(), target_list))
-    edges.extend(
-        list(islice(pairs, count)) for count in edge_counts.tolist()
-    )
+    # A slice of sources at a time: the per-edge Python lists stay small
+    # next to the edge tuples they become.
+    counts = edge_counts.tolist()
+    start = 0
+    for first in range(0, len(counts), REPLAY_SOURCES):
+        slice_counts = counts[first : first + REPLAY_SOURCES]
+        stop = start + sum(slice_counts)
+        pairs = iter(
+            zip(masks[start:stop].tolist(), to_ids(targets[start:stop]))
+        )
+        edges.extend(list(islice(pairs, count)) for count in slice_counts)
+        start = stop
 
 
 def _explore_frontier(
-    system: System,
-    relation: SchedulerRelation,
+    context: _ShardContext,
     seeds: list[Configuration],
     max_configurations: int,
-    action_mode: str,
-    tables: CompiledKernelTables,
-    shards: int,
-) -> "StateSpace":
+    expand: _Expander,
+    enabled_lists: list[tuple[int, ...]],
+    edges: list[list[tuple[int, int]]],
+) -> tuple[list[Configuration], dict[Configuration, int]]:
     """Reachable-fragment mode: level-synchronous BFS with canonical merge.
 
-    The master owns the rank → id interning; workers only expand.  Each
+    The master owns the rank → id interning; blocks only expand.  Each
     level's results are replayed in (source order, edge order), which is
-    exactly the order the sequential FIFO explorer interns targets in, so
-    the id space comes out identical.
+    exactly the order the reference FIFO walk interns targets in, so the
+    id space comes out identical.  Returns the configurations in id
+    order and their index.
     """
-    from repro.stabilization.statespace import StateSpace
-
-    encoding = tables.encoding
-    context = _ShardContext(tables, relation, action_mode)
-
     rank_to_id: dict[int, int] = {}
     rank_of_id: list[int] = []
 
@@ -721,55 +712,20 @@ def _explore_frontier(
         rank_of_id.append(rank)
         return state_id
 
+    def to_ids(targets: "np.ndarray | list[int]") -> list[int]:
+        if isinstance(targets, np.ndarray):
+            targets = targets.tolist()
+        return [intern(rank) for rank in targets]
+
+    encoding = context.tables.encoding
     for seed in seeds:
         intern(context.rank_of(encoding.encode(seed)))
 
-    edges: list[list[tuple[int, int]]] = []
-    enabled_lists: list[tuple[int, ...]] = []
-
-    pool: _SupervisedPool | None = None
-    try:
-        frontier_start = 0
-        while frontier_start < len(rank_of_id):
-            frontier = rank_of_id[frontier_start:]
-            frontier_start = len(rank_of_id)
-            if len(frontier) >= MIN_FRONTIER_FOR_WORKERS and shards > 1:
-                if pool is None:
-                    pool = _SupervisedPool(
-                        shards,
-                        tables,
-                        relation,
-                        action_mode,
-                        _expand_rank_list,
-                        lambda chunks: [
-                            _expand_rank_list(chunk, context)
-                            for chunk in chunks
-                        ],
-                    )
-                chunks = [
-                    frontier[start:stop]
-                    for start, stop in _chunk_bounds(len(frontier), shards)
-                ]
-                results = pool.map(chunks)
-            else:
-                results = [
-                    _expand_block(
-                        context, context.codes_of_ranks(frontier), frontier
-                    )
-                ]
-            for result in results:
-                _append_chunk(result, enabled_lists, edges, intern=intern)
-    finally:
-        if pool is not None:
-            pool.close()
-
-    configurations = [
-        context.configuration_of_rank(rank) for rank in rank_of_id
-    ]
-    index = {
-        configuration: state_id
-        for state_id, configuration in enumerate(configurations)
-    }
-    return StateSpace(
-        system, relation, configurations, index, edges, enabled_lists
-    )
+    frontier_start = 0
+    while frontier_start < len(rank_of_id):
+        frontier = rank_of_id[frontier_start:]
+        frontier_start = len(rank_of_id)
+        for result in expand(frontier):
+            _append_chunk(result, enabled_lists, edges, to_ids)
+    configurations = context.configurations_of_ranks(rank_of_id)
+    return configurations, dict(zip(configurations, rank_to_id.values()))

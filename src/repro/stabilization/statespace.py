@@ -10,30 +10,35 @@ edge labelled with the *activation bitmask* of the processes that moved
 Edges follow possibility semantics: a probabilistic action contributes one
 edge per outcome in its support.
 
-Two execution strategies produce the same digraph (see
-``docs/architecture.md``):
+:meth:`StateSpace.explore` is the one place that picks how the digraph
+is built (see ``docs/architecture.md``); every path yields the same
+digraph, and the choice is recorded in :attr:`StateSpace.path`:
 
-* the **sequential explorer** below — a FIFO walk that resolves guards
-  and outcomes through the neighborhood-memoized
-  :class:`~repro.core.kernel.TransitionKernel` (once per distinct local
-  neighborhood, not once per configuration; ``use_kernel=False`` restores
-  the reference :class:`~repro.core.system.System` path);
-* the **sharded explorer** (:mod:`repro.stabilization.sharding`,
-  ``shards > 1``) — the frontier is partitioned across worker processes
-  that expand their slices over the compiled NumPy kernel tables, and the
-  merge reproduces the sequential intern order bit-for-bit.  ``shards=1``
-  is the equivalence oracle.
+* ``"compiled"`` (the default) — the system compiles to NumPy kernel
+  tables and :mod:`repro.stabilization.sharding` expands it in code
+  space, in-process;
+* ``"sharded"`` — the same expansion spread across worker processes
+  (``shards > 1``);
+* ``"walk:over-budget"`` / ``"walk:processes"`` — the tables cannot be
+  compiled (neighborhood space over budget) or there are more than
+  :data:`~repro.stabilization.sharding.MAX_SHARDABLE_PROCESSES`
+  processes, so a FIFO walk resolves guards and outcomes through the
+  neighborhood-memoized :class:`~repro.core.kernel.TransitionKernel`;
+* ``"reference"`` — ``use_kernel=False``: the same walk over the
+  reference :class:`~repro.core.system.System`, the equivalence oracle
+  of every other path.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from repro.core.configuration import Configuration
-from repro.core.kernel import TransitionKernel, resolve_engine
+from repro.core.encoding import compile_tables
+from repro.core.kernel import Engine, TransitionKernel
 from repro.core.system import System, compose_weighted_targets
-from repro.errors import StateSpaceError
+from repro.errors import ModelError, StateSpaceError
 from repro.schedulers.relations import SchedulerRelation
 
 __all__ = ["StateSpace", "LabeledEdge", "subset_to_mask", "mask_to_subset"]
@@ -74,6 +79,8 @@ class StateSpace:
         index: dict[Configuration, int],
         edges: list[list[LabeledEdge]],
         enabled: list[tuple[int, ...]],
+        *,
+        path: str,
     ) -> None:
         self.system = system
         self.relation = relation
@@ -81,7 +88,13 @@ class StateSpace:
         self.index = index
         self.edges = edges
         self.enabled = enabled
+        self._path = path
         self._reverse: list[list[int]] | None = None
+
+    @property
+    def path(self) -> str:
+        """How :meth:`explore` built this space, and why (module docs)."""
+        return self._path
 
     # ------------------------------------------------------------------
     # construction
@@ -106,114 +119,66 @@ class StateSpace:
         space is large).
 
         Guards and outcome statements resolve through a
-        :class:`~repro.core.kernel.TransitionKernel` by default, so they
-        run once per distinct local neighborhood rather than once per
-        configuration; pass ``kernel`` to reuse existing memo tables or
-        ``use_kernel=False`` for the reference :class:`System` path.
+        :class:`~repro.core.kernel.TransitionKernel` compiled to NumPy
+        tables, so they run once per distinct local neighborhood and the
+        walk itself happens on integer ranks; pass ``kernel`` to reuse
+        existing memo tables or ``use_kernel=False`` for the reference
+        :class:`System` walk.  Systems whose tables cannot be compiled
+        fall back to a kernel walk (see :attr:`path`).
 
-        ``shards`` selects the execution strategy: ``1`` runs the
-        sequential walk below; an int ``> 1`` partitions the frontier
-        across that many worker processes running the compiled-table fast
-        path (:func:`repro.stabilization.sharding.explore_sharded`);
-        ``"auto"`` sizes the pool from the available CPUs; ``None`` (the
-        default) uses the process-wide default — 1 unless raised via
-        :func:`repro.stabilization.sharding.set_default_shards` or the
-        ``--shards`` CLI flag.  Every value yields an identical
-        :class:`StateSpace` (same ids, edges, and enabled tuples);
-        systems that cannot take the compiled fast path fall back to the
-        sequential walk.  ``use_kernel=False`` forces the sequential
-        reference path regardless of ``shards``.
+        ``shards`` spreads the compiled expansion across worker
+        processes: ``1`` expands in-process; an int ``> 1`` uses that
+        many workers; ``"auto"`` sizes the pool from the available CPUs;
+        ``None`` (the default) uses the process-wide default — 1 unless
+        raised via :func:`repro.stabilization.sharding.set_default_shards`
+        or the ``--shards`` CLI flag.  Every path yields an identical
+        :class:`StateSpace` (same ids, edges, and enabled tuples).
         """
-        if use_kernel:
+        space_size = system.num_configurations()
+        if initial is None and space_size > max_configurations:
+            raise StateSpaceError(
+                f"configuration space has {space_size} states,"
+                f" budget is {max_configurations}"
+            )
+        if not use_kernel:
+            engine, path = system, "reference"
+        else:
             from repro.stabilization.sharding import (
-                explore_sharded,
+                MAX_SHARDABLE_PROCESSES,
+                explore_compiled,
                 resolve_shards,
             )
 
             num_shards = resolve_shards(shards)
-            if num_shards > 1:
-                return explore_sharded(
-                    system,
-                    relation,
-                    initial,
-                    max_configurations,
-                    action_mode,
-                    kernel,
-                    num_shards,
-                )
-        if initial is None:
-            space_size = system.num_configurations()
-            if space_size > max_configurations:
-                raise StateSpaceError(
-                    f"configuration space has {space_size} states,"
-                    f" budget is {max_configurations}"
-                )
-            seeds: Iterator[Configuration] | list[Configuration] = (
-                system.all_configurations()
-            )
-        else:
-            seeds = list(initial)
-
-        configurations: list[Configuration] = []
-        index: dict[Configuration, int] = {}
-        queue: deque[int] = deque()
-
-        def intern(configuration: Configuration) -> int:
-            existing = index.get(configuration)
-            if existing is not None:
-                return existing
-            if len(configurations) >= max_configurations:
-                raise StateSpaceError(
-                    f"exploration exceeded {max_configurations}"
-                    " configurations"
-                )
-            fresh = len(configurations)
-            index[configuration] = fresh
-            configurations.append(configuration)
-            queue.append(fresh)
-            return fresh
-
-        for seed in seeds:
-            intern(seed)
-
-        engine = resolve_engine(system, kernel, use_kernel)
-        edges: list[list[LabeledEdge]] = []
-        enabled_lists: list[tuple[int, ...]] = []
-        # Subset tuples repeat across configurations sharing an enabled
-        # set; cache their bitmasks instead of re-walking the bits.
-        mask_cache: dict[tuple[int, ...], int] = {}
-        processed = 0
-        while queue:
-            source_id = queue.popleft()
-            # Queue order is FIFO over intern order, so source_id == processed.
-            assert source_id == processed
-            processed += 1
-            source = configurations[source_id]
-            # Resolve guards/outcomes once per local neighborhood; all
-            # subset steps compose from these solo resolutions (atomic
-            # reads).
-            resolved = engine.resolved_actions(source)
-            enabled = tuple(sorted(resolved))
-            enabled_lists.append(enabled)
-            outgoing: list[LabeledEdge] = []
-            seen: set[LabeledEdge] = set()
-            if enabled:
-                for subset in relation.subsets(enabled):
-                    mask = mask_cache.get(subset)
-                    if mask is None:
-                        mask = subset_to_mask(subset)
-                        mask_cache[subset] = mask
-                    for _, target in compose_weighted_targets(
-                        source, subset, resolved, action_mode
-                    ):
-                        target_id = intern(target)
-                        edge = (mask, target_id)
-                        if edge not in seen:
-                            seen.add(edge)
-                            outgoing.append(edge)
-            edges.append(outgoing)
-
-        return cls(system, relation, configurations, index, edges, enabled_lists)
+            if action_mode not in ("all", "first"):
+                raise ModelError(f"unknown action_mode {action_mode!r}")
+            engine = kernel if kernel is not None else TransitionKernel(system)
+            if system.num_processes > MAX_SHARDABLE_PROCESSES:
+                path = "walk:processes"
+            else:
+                try:
+                    tables = compile_tables(engine)
+                except ModelError:
+                    path = "walk:over-budget"
+                else:
+                    return explore_compiled(
+                        system,
+                        relation,
+                        initial,
+                        max_configurations,
+                        action_mode,
+                        tables,
+                        num_shards,
+                    )
+        return _walk(
+            system,
+            relation,
+            initial,
+            max_configurations,
+            action_mode,
+            engine,
+            path,
+        )
 
     # ------------------------------------------------------------------
     # queries
@@ -305,3 +270,82 @@ class StateSpace:
             f"StateSpace(configs={self.num_configurations},"
             f" edges={self.num_edges}, relation={self.relation.name!r})"
         )
+
+
+def _walk(
+    system: System,
+    relation: SchedulerRelation,
+    initial: Iterable[Configuration] | None,
+    max_configurations: int,
+    action_mode: str,
+    engine: Engine,
+    path: str,
+) -> StateSpace:
+    """FIFO walk, one configuration at a time, through ``engine``.
+
+    The reference explorer (``engine`` a :class:`System`) and the
+    fallback for systems the compiled tables cannot represent (``engine``
+    a :class:`TransitionKernel`).
+    """
+    seeds: Iterable[Configuration] = (
+        system.all_configurations() if initial is None else list(initial)
+    )
+    configurations: list[Configuration] = []
+    index: dict[Configuration, int] = {}
+    queue: deque[int] = deque()
+
+    def intern(configuration: Configuration) -> int:
+        existing = index.get(configuration)
+        if existing is not None:
+            return existing
+        if len(configurations) >= max_configurations:
+            raise StateSpaceError(
+                f"exploration exceeded {max_configurations} configurations"
+            )
+        fresh = len(configurations)
+        index[configuration] = fresh
+        configurations.append(configuration)
+        queue.append(fresh)
+        return fresh
+
+    for seed in seeds:
+        intern(seed)
+
+    edges: list[list[LabeledEdge]] = []
+    enabled_lists: list[tuple[int, ...]] = []
+    # Subset tuples repeat across configurations sharing an enabled set;
+    # cache their bitmasks instead of re-walking the bits.
+    mask_cache: dict[tuple[int, ...], int] = {}
+    while queue:
+        source = configurations[queue.popleft()]
+        # Resolve guards/outcomes once per local neighborhood; all subset
+        # steps compose from these solo resolutions (atomic reads).
+        resolved = engine.resolved_actions(source)
+        enabled = tuple(sorted(resolved))
+        enabled_lists.append(enabled)
+        outgoing: list[LabeledEdge] = []
+        seen: set[LabeledEdge] = set()
+        if enabled:
+            for subset in relation.subsets(enabled):
+                mask = mask_cache.get(subset)
+                if mask is None:
+                    mask = subset_to_mask(subset)
+                    mask_cache[subset] = mask
+                for _, target in compose_weighted_targets(
+                    source, subset, resolved, action_mode
+                ):
+                    edge = (mask, intern(target))
+                    if edge not in seen:
+                        seen.add(edge)
+                        outgoing.append(edge)
+        edges.append(outgoing)
+
+    return StateSpace(
+        system,
+        relation,
+        configurations,
+        index,
+        edges,
+        enabled_lists,
+        path=path,
+    )

@@ -55,7 +55,12 @@ from repro.schedulers.distributions import (
     DistributedRandomizedDistribution,
     SynchronousDistribution,
 )
-from repro.schedulers.relations import CentralRelation, SynchronousRelation
+from repro.schedulers.relations import (
+    BoundedRelation,
+    CentralRelation,
+    DistributedRelation,
+    SynchronousRelation,
+)
 from repro.stabilization.statespace import StateSpace
 
 pytestmark = pytest.mark.conformance
@@ -343,21 +348,45 @@ def test_compiled_chain_bit_equal_to_scalar(system_name, distribution_key):
     assert (scalar_data == data).all()
 
 
-@pytest.mark.parametrize(
-    "relation_key,make_relation",
-    [("central", CentralRelation), ("synchronous", SynchronousRelation)],
-)
+#: Exploration cells: every relation shape the deterministic-block layer
+#: and the scalar replay must reproduce, under both action modes.
+EXPLORATION_CELLS = [
+    pytest.param(CentralRelation, "all", id="central-CentralRelation"),
+    pytest.param(
+        SynchronousRelation, "all", id="synchronous-SynchronousRelation"
+    ),
+    pytest.param(
+        DistributedRelation, "all", id="distributed-DistributedRelation"
+    ),
+    pytest.param(lambda: BoundedRelation(2), "all", id="bounded2"),
+    pytest.param(CentralRelation, "first", id="central-first"),
+    pytest.param(DistributedRelation, "first", id="distributed-first"),
+]
+
+
+@pytest.mark.parametrize("make_relation,action_mode", EXPLORATION_CELLS)
 @pytest.mark.parametrize("system_name", CHAIN_SYSTEMS)
 def test_sharded_exploration_bit_equal_to_sequential(
-    system_name, relation_key, make_relation
+    system_name, make_relation, action_mode
 ):
+    """In-process compiled and sharded exploration against the reference
+    walk (``use_kernel=False``)."""
     system = conformance_system(system_name)
-    sequential = StateSpace.explore(system, make_relation(), shards=1)
-    sharded = StateSpace.explore(system, make_relation(), shards=2)
-    assert sequential.configurations == sharded.configurations
-    assert sequential.index == sharded.index
-    assert sequential.edges == sharded.edges
-    assert sequential.enabled == sharded.enabled
+    reference = StateSpace.explore(
+        system, make_relation(), action_mode=action_mode, use_kernel=False
+    )
+    for shards in (1, 2):
+        compiled = StateSpace.explore(
+            system, make_relation(), action_mode=action_mode, shards=shards
+        )
+        # Small spaces stay in-process even when sharded.
+        assert compiled.path in (
+            ("compiled",) if shards == 1 else ("compiled", "sharded")
+        )
+        assert reference.configurations == compiled.configurations
+        assert reference.index == compiled.index
+        assert reference.edges == compiled.edges
+        assert reference.enabled == compiled.enabled
 
 
 def test_matrix_covers_required_axes():

@@ -1,28 +1,33 @@
-"""Sharded exploration is bit-for-bit identical to the sequential oracle.
+"""Compiled exploration is bit-for-bit identical to the reference walk.
 
-The contract (see ``docs/architecture.md``): for every shard count,
-``StateSpace.explore`` must produce the *same* canonical state space —
-configurations, interned ids, edge lists (order included), enabled
-tuples — and therefore identical downstream verdicts, on every topology
-family the registry uses (rings, trees/chains, stars) and for
-deterministic as well as probabilistic systems.
+The contract (see ``docs/architecture.md``): on every path — compiled
+in-process, sharded across workers, or the kernel-walk fallback —
+``StateSpace.explore`` must produce the *same* canonical state space as
+``use_kernel=False`` — configurations, interned ids, edge lists (order
+included), enabled tuples — and therefore identical downstream verdicts,
+on every topology family the registry uses (rings, trees/chains, stars)
+and for deterministic as well as probabilistic systems.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.algorithms.coloring import make_coloring_system
 from repro.algorithms.leader_tree import TreeLeaderSpec, make_leader_tree_system
 from repro.algorithms.token_ring import (
     TokenCirculationSpec,
     make_token_ring_system,
+    single_token_configuration,
+    two_token_configuration,
 )
 from repro.algorithms.two_process import make_two_process_system
-from repro.errors import StateSpaceError
+from repro.errors import ModelError, StateSpaceError
 from repro.graphs.generators import figure3_chain, star
 from repro.schedulers.relations import (
     CentralRelation,
     DistributedRelation,
+    SchedulerRelation,
     SynchronousRelation,
 )
 from repro.stabilization import (
@@ -33,6 +38,7 @@ from repro.stabilization import (
     resolve_shards,
     set_default_shards,
 )
+from repro.stabilization.sharding import MAX_SHARDABLE_PROCESSES
 from repro.transformer.coin_toss import make_transformed_system
 
 
@@ -45,7 +51,7 @@ def assert_identical(space_a: StateSpace, space_b: StateSpace) -> None:
 
 
 def explore_pair(system, relation, shards, **kwargs):
-    oracle = StateSpace.explore(system, relation, shards=1, **kwargs)
+    oracle = StateSpace.explore(system, relation, use_kernel=False, **kwargs)
     sharded = StateSpace.explore(system, relation, shards=shards, **kwargs)
     return oracle, sharded
 
@@ -131,7 +137,7 @@ def test_sharded_identical_restricted_initial():
     system = make_token_ring_system(6)
     seeds = [next(system.all_configurations())]
     oracle = StateSpace.explore(
-        system, CentralRelation(), initial=seeds, shards=1
+        system, CentralRelation(), initial=seeds, use_kernel=False
     )
     sharded = StateSpace.explore(
         system, CentralRelation(), initial=seeds, shards=4
@@ -156,12 +162,13 @@ def test_sharded_restricted_worker_pool_path(monkeypatch):
     seeds = [next(system.all_configurations())]
     for relation in (CentralRelation(), DistributedRelation()):
         oracle = StateSpace.explore(
-            system, relation, initial=seeds, shards=1
+            system, relation, initial=seeds, use_kernel=False
         )
         sharded = StateSpace.explore(
             system, relation, initial=seeds, shards=3
         )
         assert_identical(oracle, sharded)
+        assert sharded.path == "sharded"
 
 
 def test_sharded_restricted_budget_enforced():
@@ -248,7 +255,7 @@ def test_default_shards_round_trip():
 
 def test_shards_auto_explores():
     system = make_token_ring_system(5)
-    oracle = StateSpace.explore(system, CentralRelation(), shards=1)
+    oracle = StateSpace.explore(system, CentralRelation(), use_kernel=False)
     auto = StateSpace.explore(system, CentralRelation(), shards="auto")
     assert_identical(oracle, auto)
 
@@ -259,8 +266,9 @@ def test_use_kernel_false_still_oracle():
     reference = StateSpace.explore(
         system, CentralRelation(), use_kernel=False, shards=4
     )
-    oracle = StateSpace.explore(system, CentralRelation(), shards=1)
-    assert_identical(reference, oracle)
+    assert reference.path == "reference"
+    compiled = StateSpace.explore(system, CentralRelation(), shards=1)
+    assert_identical(reference, compiled)
 
 
 # ----------------------------------------------------------------------
@@ -347,10 +355,209 @@ def test_exploration_result_survives_broken_pool(monkeypatch):
 
     monkeypatch.setattr(sharding, "POOL_TASK_TIMEOUT", 0.0001)
     system = make_token_ring_system(9)  # 512 configs: takes the pool path
-    oracle = StateSpace.explore(system, CentralRelation(), shards=1)
+    oracle = StateSpace.explore(system, CentralRelation(), use_kernel=False)
     with pytest.warns(RuntimeWarning) as record:
         survived = StateSpace.explore(system, CentralRelation(), shards=2)
     assert any(
         "falling back" in str(warning.message) for warning in record
     )
     assert_identical(oracle, survived)
+
+
+# ----------------------------------------------------------------------
+# the in-process default: which layer runs, and the path it reports
+# ----------------------------------------------------------------------
+class _ReversedDistributedRelation(SchedulerRelation):
+    """Every non-empty subset, in reverse of the canonical order."""
+
+    name = "reversed-distributed"
+
+    def subsets(self, enabled):
+        yield from reversed(list(DistributedRelation().subsets(enabled)))
+
+
+@pytest.fixture
+def layer_calls(monkeypatch):
+    """Count the compiled expander's calls into the deterministic-block
+    layer (``deterministic``) and into any block (``blocks``)."""
+    from repro.stabilization import sharding
+
+    calls = {"deterministic": 0, "blocks": 0}
+
+    def spy(name, original):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        sharding,
+        "_deterministic_edges",
+        spy("deterministic", sharding._deterministic_edges),
+    )
+    monkeypatch.setattr(
+        sharding, "_expand_block", spy("blocks", sharding._expand_block)
+    )
+    return calls
+
+
+def assert_matches_reference(system, relation, **kwargs):
+    """Default exploration against ``use_kernel=False``; returns the
+    default-path space."""
+    reference = StateSpace.explore(
+        system, relation, use_kernel=False, **kwargs
+    )
+    space = StateSpace.explore(system, relation, **kwargs)
+    assert_identical(reference, space)
+    return space
+
+
+@pytest.mark.parametrize("restricted", [False, True], ids=["full", "initial"])
+def test_vector_layer_follows_relation_order(layer_calls, restricted):
+    """A relation with a non-canonical subset order still takes the
+    deterministic-block layer, and edges come out in its order."""
+    system = make_token_ring_system(6)
+    kwargs = (
+        {"initial": [next(system.all_configurations())]} if restricted else {}
+    )
+    space = assert_matches_reference(
+        system, _ReversedDistributedRelation(), **kwargs
+    )
+    assert space.path == "compiled"
+    assert layer_calls["deterministic"] == layer_calls["blocks"] > 0
+    multi = next(edges for edges in space.edges if len(edges) > 1)
+    masks = [mask for mask, _ in multi]
+    assert masks == sorted(masks, reverse=True)
+
+
+@pytest.mark.parametrize("restricted", [False, True], ids=["full", "initial"])
+@pytest.mark.parametrize(
+    "make_relation",
+    [CentralRelation, DistributedRelation, _ReversedDistributedRelation],
+)
+def test_probabilistic_blocks_take_scalar_replay(
+    layer_calls, make_relation, restricted
+):
+    system = make_transformed_system(make_token_ring_system(4))
+    kwargs = (
+        {"initial": [next(system.all_configurations())]} if restricted else {}
+    )
+    space = assert_matches_reference(system, make_relation(), **kwargs)
+    assert space.path == "compiled"
+    assert layer_calls["blocks"] > 0
+    assert layer_calls["deterministic"] == 0
+
+
+def test_over_budget_tables_take_the_walk_restricted():
+    """The hub's neighborhood (17^5 colorings) exceeds the table budget."""
+    system = make_coloring_system(star(4), palette_size=17)
+    seeds = [next(system.all_configurations())]
+    for relation in (CentralRelation(), DistributedRelation()):
+        space = assert_matches_reference(system, relation, initial=seeds)
+        assert space.path == "walk:over-budget"
+
+
+def test_over_budget_tables_take_the_walk_full(monkeypatch):
+    """Full spaces past the table budget are too large for a unit test;
+    refusing compilation exercises the same fallback."""
+    from repro.stabilization import statespace
+
+    def refuse(kernel):
+        raise ModelError("neighborhood space over budget (forced)")
+
+    monkeypatch.setattr(statespace, "compile_tables", refuse)
+    space = assert_matches_reference(
+        make_token_ring_system(5), DistributedRelation()
+    )
+    assert space.path == "walk:over-budget"
+
+
+def test_more_than_62_processes_take_the_walk():
+    """Activation masks no longer fit an int64: restricted-only, as the
+    full space of 64 processes is astronomically large."""
+    system = make_token_ring_system(64)
+    assert system.num_processes > MAX_SHARDABLE_PROCESSES
+    for relation, seed in (
+        (CentralRelation(), single_token_configuration(system, 0)),
+        (DistributedRelation(), two_token_configuration(system, 0, 3)),
+    ):
+        space = assert_matches_reference(system, relation, initial=[seed])
+        assert space.path == "walk:processes"
+
+
+def test_path_reports_every_value():
+    ring = make_token_ring_system(9)  # 512 configs: pools when sharded
+    coloring = make_coloring_system(star(4), palette_size=17)
+    ring64 = make_token_ring_system(64)
+    central = CentralRelation()
+    spaces = {
+        "compiled": StateSpace.explore(ring, central),
+        "sharded": StateSpace.explore(ring, central, shards=2),
+        "reference": StateSpace.explore(ring, central, use_kernel=False),
+        "walk:over-budget": StateSpace.explore(
+            coloring, central, initial=[next(coloring.all_configurations())]
+        ),
+        "walk:processes": StateSpace.explore(
+            ring64, central, initial=[single_token_configuration(ring64)]
+        ),
+    }
+    for path, space in spaces.items():
+        assert space.path == path
+    with pytest.raises(AttributeError):
+        spaces["compiled"].path = "reference"
+
+
+class _RepeatingRelation(SchedulerRelation):
+    """Central subsets, each yielded twice (the second a duplicate)."""
+
+    name = "repeating"
+
+    def subsets(self, enabled):
+        for process in enabled:
+            yield (process,)
+            yield (process,)
+
+
+class _DisabledRelation(SchedulerRelation):
+    """Always activates process 0, enabled or not."""
+
+    name = "disabled"
+
+    def subsets(self, enabled):
+        yield (0,)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [make_token_ring_system(5), make_two_process_system()],
+    ids=["deterministic", "probabilistic"],
+)
+def test_repeated_subsets_dedup_like_the_reference(system):
+    assert_matches_reference(system, _RepeatingRelation())
+
+
+def test_disabled_mover_is_rejected_like_the_reference():
+    from repro.errors import SchedulerError
+
+    system = make_token_ring_system(5)
+    for use_kernel in (False, True):
+        with pytest.raises(SchedulerError):
+            StateSpace.explore(
+                system, _DisabledRelation(), use_kernel=use_kernel
+            )
+
+
+@pytest.mark.parametrize("restricted", [False, True], ids=["full", "initial"])
+def test_large_levels_split_into_blocks(monkeypatch, restricted):
+    """Block splitting (bounded scratch memory) is invisible in the
+    result."""
+    from repro.stabilization import sharding
+
+    monkeypatch.setattr(sharding, "MAX_BLOCK", 7)
+    system = make_token_ring_system(5)
+    kwargs = (
+        {"initial": [next(system.all_configurations())]} if restricted else {}
+    )
+    for relation in (DistributedRelation(), SynchronousRelation()):
+        assert_matches_reference(system, relation, **kwargs)

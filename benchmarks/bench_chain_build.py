@@ -1,10 +1,12 @@
-"""Micro-benchmarks of the compiled chain pipeline (PR 4).
+"""Micro-benchmarks of the compiled chain pipeline.
 
 Splits the `test_markov_solve_ring6` composite into its stages so the
 trajectory file shows where time goes: chain build (compiled wire format
 vs the scalar dict-walk oracle), the Bernoulli lumped chain (the
 compiled builder's scalar-replay layer), and the hitting solve alone
-(array-direct solvers + cached transient factorization).
+(array-direct solvers + cached transient factorization) under the
+central daemon (22 144-nnz ``I − Q`` block) and the distributed one
+(114 816 nnz), both natural-order SuperLU.
 """
 
 from repro.algorithms.token_ring import (
@@ -14,7 +16,10 @@ from repro.algorithms.token_ring import (
 from repro.markov.builder import build_chain
 from repro.markov.hitting import hitting_summary
 from repro.markov.lumping import lumped_synchronous_transformed_chain
-from repro.schedulers.distributions import CentralRandomizedDistribution
+from repro.schedulers.distributions import (
+    CentralRandomizedDistribution,
+    DistributedRandomizedDistribution,
+)
 
 
 def test_chain_build_ring6_compiled(benchmark):
@@ -55,15 +60,15 @@ def test_chain_build_lumped_ring6_bernoulli(benchmark):
     assert chain.num_states == 4096
 
 
-def test_chain_solve_ring6_hitting(benchmark):
-    """Hitting solve alone on a fresh 4096-state chain per round (a fresh
+def _bench_ring6_hitting(benchmark, distribution):
+    """``hitting_summary`` on a fresh 4096-state chain per round (a fresh
     chain defeats the transient-LU cache, so the factorization cost is
     measured, not amortized away)."""
     system = make_token_ring_system(6)
     spec = TokenCirculationSpec()
 
     def fresh_chain():
-        chain = build_chain(system, CentralRandomizedDistribution())
+        chain = build_chain(system, distribution)
         return (chain, chain.mark(spec.legitimate)), {}
 
     def solve(chain, target):
@@ -73,3 +78,14 @@ def test_chain_solve_ring6_hitting(benchmark):
         solve, setup=fresh_chain, rounds=3, iterations=1
     )
     assert summary.converges_with_probability_one
+
+
+def test_chain_solve_ring6_hitting(benchmark):
+    """Hitting solve alone, central daemon."""
+    _bench_ring6_hitting(benchmark, CentralRandomizedDistribution())
+
+
+def test_chain_solve_ring6_distributed_hitting(benchmark):
+    """Hitting solve alone, distributed daemon: the denser block THM7,
+    Q1 and Q3 factor."""
+    _bench_ring6_hitting(benchmark, DistributedRandomizedDistribution())

@@ -176,11 +176,10 @@ def certified_lower_bound(
         raise MarkovError(
             f"unknown objective {objective!r}; known: mean, worst"
         )
-    solver = pchain._solver(target)  # validates the mask, caches closure
-    target = solver.target
-    transient = ~target
-    if not transient.any():
+    transient = pchain._solver(target).solve_ids  # validates the mask
+    if not transient.size:
         return 0.0
+    target = np.asarray(target, dtype=bool)
     data_lo, _ = pchain.data_bounds(lows, highs)
     indptr = pchain.indptr
     indices = pchain.indices

@@ -141,7 +141,8 @@ class MarkovChain:
         self._encoding: "StateEncoding | None" = None
         self._sparse: sparse.csr_matrix | None = None
         self._dense: np.ndarray | None = None
-        #: (solve-set key, kind, LU) memo owned by repro.markov.hitting.
+        #: (solve-set key, TransientPlan, solve) memo owned by
+        #: repro.markov.hitting.
         self._transient_lu: tuple | None = None
         self._check_arrays()
 

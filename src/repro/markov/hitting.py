@@ -13,14 +13,19 @@ time of transformed algorithms):
   worst-case and average expected time over all initial configurations.
 
 All three consume the chain's CSR arrays directly — the backward
-closure is a sparse-transpose BFS over ``(indices, indptr)``, and the
-transient-submatrix solves slice the cached scipy matrix with fancy
-indexing (:func:`_transient_solve`) — no per-state Python dict walking.
+closure is a sparse-transpose BFS over ``(indices, indptr)``, and every
+transient-block solve goes through one :class:`TransientPlan` — no
+per-state Python dict walking.  The plan depends only on the sparsity
+pattern and the solve set, so
+:class:`~repro.markov.parametric.ParametricChain` builds it once per
+target and refactors per parameter point with the same code (and
+therefore the same bits) as a concrete chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -42,20 +47,96 @@ __all__ = [
 #: are treated as having infinite expected hitting time.
 ABSORPTION_TOLERANCE = 1e-8
 
-#: Below this state count we solve densely with numpy; above, sparsely.
-_DENSE_LIMIT = 1500
+#: ``I - Q`` is factored densely when its non-zeros fill at least
+#: ``1 / _DENSE_FILL_DIVISOR`` of the ``m × m`` block, sparsely below —
+#: which also caps the dense array at ``_DENSE_FILL_DIVISOR · nnz``
+#: floats.
+_DENSE_FILL_DIVISOR = 20
 
 
-def _target_vector(chain: MarkovChain, target: np.ndarray) -> np.ndarray:
+def _target_vector(num_states: int, target: np.ndarray) -> np.ndarray:
     target = np.asarray(target, dtype=bool)
-    if target.shape != (chain.num_states,):
+    if target.shape != (num_states,):
         raise MarkovError(
             f"target mask has shape {target.shape},"
-            f" expected ({chain.num_states},)"
+            f" expected ({num_states},)"
         )
     if not target.any():
         raise MarkovError("target set is empty")
     return target
+
+
+class TransientPlan:
+    """Structure-once solve plan for ``(I - Q) x = b`` on one solve set.
+
+    Built from a CSR pattern ``(indices, indptr)`` (columns sorted and
+    unique per row) and the sorted ``solve_ids`` alone — never from
+    probabilities: the CSR slots that land in the ``Q`` block, and the
+    column-major assembly of ``I - Q`` in the chain's own state order.
+    :meth:`factor` then does only numeric work for one ``data`` vector.
+
+    :attr:`kind` is the reason code of the dense/sparse choice.  Sparse
+    blocks factor with SuperLU under ``permc_spec="NATURAL"``: states are
+    enumeration-rank or BFS ordered, so the support is near banded and
+    skipping the ordering phase wins.  Measured on a 2-CPU x86 host:
+    token ring N=6's 4072-state distributed-daemon block factors in
+    72 ms with 594 351 L+U entries, against 688 ms and 1 250 586
+    entries under ``MMD_AT_PLUS_A``.  Blocks at least ``1/20`` full
+    factor densely with LAPACK, where SuperLU gains nothing (Herman
+    random-bit ring 9: 494 states at 7.8 % fill).
+    """
+
+    def __init__(
+        self, indices: np.ndarray, indptr: np.ndarray, solve_ids: np.ndarray
+    ) -> None:
+        m = solve_ids.shape[0]
+        self.solve_ids = solve_ids
+        position = np.full(indptr.shape[0] - 1, -1, dtype=np.int64)
+        position[solve_ids] = np.arange(m, dtype=np.int64)
+        row_position = np.repeat(position, np.diff(indptr))
+        col_position = position[indices]
+        #: CSR data slots that land in the ``Q`` block.
+        self._entries = np.flatnonzero(
+            (row_position >= 0) & (col_position >= 0)
+        )
+        # Column-major slot keys of ``I - Q``: the Q entries are unique
+        # (CSR columns are), so only the diagonal can merge with them.
+        q_rows = row_position[self._entries]
+        q_cols = col_position[self._entries]
+        q_keys = q_cols * np.int64(m) + q_rows
+        diagonal_keys = np.arange(m, dtype=np.int64) * np.int64(m + 1)
+        slot_keys = np.union1d(q_keys, diagonal_keys)
+        self._q_slots = np.searchsorted(slot_keys, q_keys)
+        self._diagonal_slots = np.searchsorted(slot_keys, diagonal_keys)
+        self._num_slots = slot_keys.shape[0]
+        columns, rows = np.divmod(slot_keys, max(m, 1))
+        dense = self._num_slots * _DENSE_FILL_DIVISOR >= m * m
+        self._kind = "dense" if dense else "sparse"
+        if dense:
+            self._layout = (rows, columns)
+        else:  # CSC ``(indices, indptr)``
+            csc_indptr = np.zeros(m + 1, dtype=np.int32)
+            np.cumsum(np.bincount(columns, minlength=m), out=csc_indptr[1:])
+            self._layout = (rows.astype(np.int32), csc_indptr)
+
+    @property
+    def kind(self) -> str:
+        """``"dense"`` (LAPACK) or ``"sparse"`` (natural-order SuperLU)."""
+        return self._kind
+
+    def factor(self, data: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """Factor ``I - Q`` at one CSR ``data`` vector; returns ``b ↦ x``."""
+        m = self.solve_ids.shape[0]
+        values = np.zeros(self._num_slots, dtype=float)
+        values[self._diagonal_slots] = 1.0
+        values[self._q_slots] -= data[self._entries]
+        if self._kind == "dense":
+            matrix = np.zeros((m, m), dtype=float, order="F")
+            matrix[self._layout] = values
+            lu = lu_factor(matrix, overwrite_a=True)
+            return lambda rhs: lu_solve(lu, rhs)
+        matrix = sparse.csc_matrix((values, *self._layout), shape=(m, m))
+        return splu(matrix, permc_spec="NATURAL").solve
 
 
 def _transient_solve(
@@ -64,59 +145,49 @@ def _transient_solve(
     """Solve ``(I - Q) x = rhs`` on the transient block ``solve_ids``.
 
     ``Q`` is the ``solve_ids × solve_ids`` submatrix of the transition
-    matrix, sliced from the cached CSR export — the one assembly both
+    matrix, assembled by a :class:`TransientPlan` straight from the
+    chain's CSR arrays — the one assembly both
     :func:`absorption_probabilities` and :func:`expected_hitting_times`
-    share.  Dense below :data:`_DENSE_LIMIT` states (LAPACK LU), sparse
-    above (SuperLU with the minimum-degree ``A^T + A`` column ordering —
-    chain states are BFS/enumeration ordered, so the support is near
-    banded and COLAMD's fill-in is 5-10× worse here).  The factorization
-    is cached on the chain keyed by the solve set: absorption and
-    expected-time solves over the same transient block — every
-    probability-1 chain — factor once and back-substitute twice.
+    share.  The plan picks dense LAPACK for blocks at least ``1/20``
+    full and SuperLU in the chain's own (near-banded) state order below:
+    on token ring N=6's 4072-state block the natural order factors
+    ~10× faster than ``MMD_AT_PLUS_A`` with half the fill (see
+    :class:`TransientPlan`).  Plan and factorization are cached on the chain
+    keyed by the solve set: absorption and expected-time solves over
+    the same transient block — every probability-1 chain — factor once
+    and back-substitute twice.
     """
-    factor_kind, factor = _transient_factorization(chain, solve_ids)
-    if factor_kind == "dense":
-        return lu_solve(factor, rhs)
-    return factor.solve(rhs)
-
-
-def _transient_factorization(chain: MarkovChain, solve_ids: np.ndarray):
-    """Cached LU factorization of ``I - Q`` for one solve set."""
     key = solve_ids.tobytes()
     cached = chain._transient_lu
-    if cached is not None and cached[0] == key:
-        return cached[1], cached[2]
-    m = len(solve_ids)
-    q = chain.sparse_matrix()[solve_ids][:, solve_ids]
-    if m <= _DENSE_LIMIT:
-        kind = "dense"
-        factor = lu_factor(np.eye(m) - q.toarray())
-    else:
-        kind = "sparse"
-        factor = splu(
-            (sparse.identity(m, format="csc") - q.tocsc()).tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-        )
-    chain._transient_lu = (key, kind, factor)
-    return kind, factor
+    if cached is None or cached[0] != key:
+        data, indices, indptr = chain.transition_arrays()
+        plan = TransientPlan(indices, indptr, solve_ids)
+        cached = (key, plan, plan.factor(data))
+        chain._transient_lu = cached
+    return cached[2](rhs)
 
 
 def _backward_closure(
-    chain: MarkovChain, target: np.ndarray
+    indices: np.ndarray, indptr: np.ndarray, target: np.ndarray
 ) -> np.ndarray:
     """States that can reach the target in the support digraph.
 
-    A multi-source BFS over the *transposed* support — predecessors of
-    each frontier are one fancy-indexed gather into the transpose's CSR
-    arrays per level.
+    A multi-source BFS over the *transposed* CSR pattern — predecessors
+    of each frontier are one fancy-indexed gather into the transpose's
+    arrays per level.  Structural, so it serves a parametric chain at
+    every point of its open parameter box.
     """
-    transpose = chain.sparse_matrix().T.tocsr()
-    indptr, indices = transpose.indptr, transpose.indices
+    n = target.shape[0]
+    transpose = sparse.csr_matrix(
+        (np.ones(indices.shape[0], dtype=bool), indices, indptr),
+        shape=(n, n),
+    ).tocsc()
+    t_indptr, t_indices = transpose.indptr, transpose.indices
     reached = np.array(target, dtype=bool)
     frontier = np.flatnonzero(target)
     while frontier.size:
-        predecessors = indices[
-            concat_ranges(indptr[frontier], indptr[frontier + 1])
+        predecessors = t_indices[
+            concat_ranges(t_indptr[frontier], t_indptr[frontier + 1])
         ]
         fresh = np.unique(predecessors[~reached[predecessors]])
         reached[fresh] = True
@@ -134,12 +205,13 @@ def absorption_probabilities(
     target.  States that cannot reach the target at all are exactly the
     zeros of the solution (we pre-filter them for numerical stability).
     """
-    target = _target_vector(chain, target)
+    target = _target_vector(chain.num_states, target)
     n = chain.num_states
     result = np.zeros(n, dtype=float)
     result[target] = 1.0
 
-    can_reach = _backward_closure(chain, target)
+    _, indices, indptr = chain.transition_arrays()
+    can_reach = _backward_closure(indices, indptr, target)
     transient = ~target & can_reach
     if not transient.any():
         return result
@@ -168,7 +240,7 @@ def expected_hitting_times(
     :func:`repro.stabilization.probabilistic.classify_probabilistic`
     compute absorption exactly once this way.
     """
-    target = _target_vector(chain, target)
+    target = _target_vector(chain.num_states, target)
     if absorption is None:
         absorption = absorption_probabilities(chain, target)
     certain = absorption >= 1.0 - ABSORPTION_TOLERANCE
@@ -211,7 +283,7 @@ class HittingSummary:
 
 def hitting_summary(chain: MarkovChain, target: np.ndarray) -> HittingSummary:
     """Absorption + expected-time aggregate for one chain and target set."""
-    target = _target_vector(chain, target)
+    target = _target_vector(chain.num_states, target)
     absorption = absorption_probabilities(chain, target)
     min_absorption = float(absorption.min())
     converges = bool(min_absorption >= 1.0 - ABSORPTION_TOLERANCE)

@@ -30,13 +30,12 @@ conformance-registry system).
 
 For parameter sweeps, :meth:`ParametricChain.expected_times` bypasses
 chain construction entirely: the transient block's sparsity pattern is
-also parameter-independent, so the hitting solver computes its
-fill-reducing (reverse Cuthill–McKee) ordering and the permuted CSC
-assembly plan **once** and reuses them for every point — per point only
-the numeric LU factorization runs (``permc_spec="NATURAL"``, the
-symbolic analysis having been paid up front).  Dense blocks below the
-:data:`~repro.markov.hitting._DENSE_LIMIT` threshold scatter into a
-preallocated ``I − Q`` and run one LAPACK factorization per point.
+also parameter-independent, so the per-target
+:class:`~repro.markov.hitting.TransientPlan` (backward closure, ``Q``
+scatter plan, natural-order ``I − Q`` assembly) is built **once** and
+each point only scatters its ``data`` and factors — the same plan and
+the same arithmetic :func:`~repro.markov.hitting.expected_hitting_times`
+runs on an instantiated chain, so both return the same bits.
 ``benchmarks/bench_parametric_sweep.py`` measures the resulting speedup
 over rebuilding the chain per point on a 64-point bias grid.
 """
@@ -47,10 +46,6 @@ from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import lu_factor, lu_solve
-from scipy.sparse.csgraph import reverse_cuthill_mckee
-from scipy.sparse.linalg import splu
 
 from repro.core.configuration import Configuration
 from repro.core.kernel import TransitionKernel
@@ -63,8 +58,12 @@ from repro.markov.builder import (
     _ChainContext,
     _compile_chain_context,
 )
-from repro.markov.chain import MarkovChain, concat_ranges
-from repro.markov.hitting import _DENSE_LIMIT
+from repro.markov.chain import MarkovChain
+from repro.markov.hitting import (
+    TransientPlan,
+    _backward_closure,
+    _target_vector,
+)
 from repro.schedulers.distributions import SchedulerDistribution
 
 __all__ = ["ParametricChain", "build_parametric_chain"]
@@ -217,147 +216,6 @@ def _expand_symbolic_block(
     return edge_counts, edge_targets, edge_weights, edge_choices, edge_atoms
 
 
-class _HittingStructure:
-    """Per-target transient-solve plan, reused across the whole sweep.
-
-    Everything here depends only on the chain's sparsity pattern and the
-    target mask — never on a parameter point: the transient index set,
-    the ``I − Q`` scatter plan, and (sparse path) the reverse
-    Cuthill–McKee ordering plus the permuted CSC assembly, i.e. the
-    symbolic half of the LU work.  :meth:`solve` then does only numeric
-    work per point.
-    """
-
-    def __init__(
-        self,
-        indices: np.ndarray,
-        indptr: np.ndarray,
-        target: np.ndarray,
-    ) -> None:
-        n = target.shape[0]
-        self.target = target
-        # Backward closure over the structural support (edge probabilities
-        # are strictly positive on the open parameter box, so structural
-        # reachability equals probabilistic reachability at every point).
-        support = sparse.csr_matrix(
-            (np.ones(len(indices)), indices, indptr), shape=(n, n)
-        )
-        transpose = support.T.tocsr()
-        t_indptr, t_indices = transpose.indptr, transpose.indices
-        reached = np.array(target, dtype=bool)
-        frontier = np.flatnonzero(target)
-        while frontier.size:
-            predecessors = t_indices[
-                concat_ranges(t_indptr[frontier], t_indptr[frontier + 1])
-            ]
-            fresh = np.unique(predecessors[~reached[predecessors]])
-            reached[fresh] = True
-            frontier = fresh
-        if not reached.all():
-            raise MarkovError(
-                f"{int((~reached).sum())} states cannot reach the target"
-                " set; parametric hitting sweeps need absorption"
-                " probability one everywhere"
-            )
-
-        transient_ids = np.flatnonzero(~target)
-        self.transient_ids = transient_ids
-        m = transient_ids.shape[0]
-        self.num_transient = m
-        if m == 0:
-            return
-
-        position = np.full(n, -1, dtype=np.int64)
-        position[transient_ids] = np.arange(m, dtype=np.int64)
-        row_of_entry = np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(indptr)
-        )
-        inside = ~target[row_of_entry] & ~target[indices]
-        #: CSR data slots that land in the transient Q block.
-        self.entry_sel = np.flatnonzero(inside)
-        q_rows = position[row_of_entry[self.entry_sel]]
-        q_cols = position[indices[self.entry_sel]]
-
-        self.dense = m <= _DENSE_LIMIT
-        if self.dense:
-            self.q_rows = q_rows
-            self.q_cols = q_cols
-            return
-
-        # Sparse path: symmetric RCM on the |I − Q| pattern, computed
-        # once; per point SuperLU runs with permc_spec="NATURAL" on the
-        # pre-permuted matrix, skipping its own ordering phase.
-        pattern = sparse.csr_matrix(
-            (
-                np.ones(q_rows.shape[0] + m),
-                (
-                    np.concatenate([q_rows, np.arange(m)]),
-                    np.concatenate([q_cols, np.arange(m)]),
-                ),
-            ),
-            shape=(m, m),
-        )
-        perm = np.asarray(
-            reverse_cuthill_mckee(
-                (pattern + pattern.T).tocsr(), symmetric_mode=True
-            ),
-            dtype=np.int64,
-        )
-        pos = np.empty(m, dtype=np.int64)
-        pos[perm] = np.arange(m, dtype=np.int64)
-        self._pos = pos
-        # Assembly plan: stacked (Q entries, then unit diagonal) in
-        # permuted coordinates, deduplicated into CSC order once.
-        rows_p = np.concatenate([pos[q_rows], np.arange(m, dtype=np.int64)])
-        cols_p = np.concatenate([pos[q_cols], np.arange(m, dtype=np.int64)])
-        keys = cols_p * np.int64(m) + rows_p
-        order = np.argsort(keys, kind="stable")
-        keys_sorted = keys[order]
-        boundaries = np.diff(keys_sorted) != 0
-        group_starts = np.concatenate(([0], np.flatnonzero(boundaries) + 1))
-        group_of_input = np.zeros(keys_sorted.shape[0], dtype=np.int64)
-        group_of_input[1:] = np.cumsum(boundaries)
-        unique_keys = keys_sorted[group_starts]
-        self._assembly_order = order
-        self._assembly_group = group_of_input
-        self._csc_indices = (unique_keys % m).astype(np.int32)
-        csc_indptr = np.zeros(m + 1, dtype=np.int32)
-        np.cumsum(
-            np.bincount(unique_keys // m, minlength=m), out=csc_indptr[1:]
-        )
-        self._csc_indptr = csc_indptr
-        self._num_slots = group_starts.shape[0]
-
-    def solve(self, data: np.ndarray) -> np.ndarray:
-        """Expected hitting times for one instantiated ``data`` vector."""
-        n = self.target.shape[0]
-        times = np.zeros(n, dtype=float)
-        m = self.num_transient
-        if m == 0:
-            return times
-        q_data = data[self.entry_sel]
-        ones = np.ones(m, dtype=float)
-        if self.dense:
-            a = np.zeros((m, m), dtype=float)
-            a[self.q_rows, self.q_cols] = -q_data
-            a[np.arange(m), np.arange(m)] += 1.0
-            t = lu_solve(lu_factor(a), ones)
-        else:
-            values = np.concatenate([-q_data, ones])
-            slot_data = np.zeros(self._num_slots, dtype=float)
-            np.add.at(
-                slot_data, self._assembly_group, values[self._assembly_order]
-            )
-            matrix = sparse.csc_matrix(
-                (slot_data, self._csc_indices, self._csc_indptr),
-                shape=(m, m),
-            )
-            factor = splu(matrix, permc_spec="NATURAL")
-            t = factor.solve(ones)[self._pos]
-        times[self.transient_ids] = np.maximum(t, 0.0)
-        return times
-
-
 class ParametricChain:
     """Structure-once, data-per-point view of a compiled chain family.
 
@@ -368,7 +226,9 @@ class ParametricChain:
     ``indices``/``indptr`` and the dedup scatter plan are frozen at
     construction; :meth:`data_vector` re-instantiates only the ``data``
     vector at a parameter assignment, and :meth:`instantiate` wraps it
-    into a full :class:`~repro.markov.chain.MarkovChain`.
+    into a full :class:`~repro.markov.chain.MarkovChain`.  Hitting-time
+    solves cache one :class:`~repro.markov.hitting.TransientPlan` per
+    target and factor it afresh at every point.
     """
 
     def __init__(
@@ -414,7 +274,7 @@ class ParametricChain:
         else:
             self._expand_frontier(context, list(initial), max_states)
         self._freeze_structure()
-        self._solvers: dict[bytes, _HittingStructure] = {}
+        self._solvers: dict[bytes, TransientPlan] = {}
         self._reference_chain: MarkovChain | None = None
 
     # ------------------------------------------------------------------
@@ -687,21 +547,39 @@ class ParametricChain:
             self._reference_chain = self.instantiate(None)
         return self._reference_chain.mark(predicate)
 
-    def _solver(self, target: np.ndarray) -> _HittingStructure:
-        target = np.asarray(target, dtype=bool)
-        if target.shape != (self.num_states,):
-            raise MarkovError(
-                f"target mask has shape {target.shape},"
-                f" expected ({self.num_states},)"
-            )
-        if not target.any():
-            raise MarkovError("target set is empty")
+    def _solver(self, target: np.ndarray) -> TransientPlan:
+        """The per-target transient plan, built once and cached.
+
+        Edge probabilities are strictly positive on the open parameter
+        box, so structural reachability equals probabilistic
+        reachability at every point: a target some state cannot reach
+        is refused here, once, for the whole sweep.
+        """
+        target = _target_vector(self.num_states, target)
         key = target.tobytes()
-        solver = self._solvers.get(key)
-        if solver is None:
-            solver = _HittingStructure(self.indices, self.indptr, target)
-            self._solvers[key] = solver
-        return solver
+        plan = self._solvers.get(key)
+        if plan is None:
+            reached = _backward_closure(self.indices, self.indptr, target)
+            if not reached.all():
+                raise MarkovError(
+                    f"{int((~reached).sum())} states cannot reach the target"
+                    " set; parametric hitting sweeps need absorption"
+                    " probability one everywhere"
+                )
+            plan = TransientPlan(
+                self.indices, self.indptr, np.flatnonzero(~target)
+            )
+            self._solvers[key] = plan
+        return plan
+
+    def _times(
+        self, plan: TransientPlan, assignment: Mapping[str, float] | None
+    ) -> np.ndarray:
+        times = np.zeros(self.num_states, dtype=float)
+        solve = plan.factor(self.data_vector(assignment))
+        t = solve(np.ones(plan.solve_ids.shape[0], dtype=float))
+        times[plan.solve_ids] = np.maximum(t, 0.0)
+        return times
 
     def expected_times(
         self,
@@ -711,11 +589,13 @@ class ParametricChain:
         """Expected steps to the target per state, at one assignment.
 
         Requires absorption probability one everywhere (raises
-        :class:`MarkovError` otherwise); reuses the per-target cached
-        solve structure, so calling this across a sweep pays the
-        symbolic work once.
+        :class:`MarkovError` otherwise).  The per-target plan is cached,
+        so a sweep pays the structural work once and one factorization
+        per point — the same plan and arithmetic
+        :func:`~repro.markov.hitting.expected_hitting_times` runs on the
+        instantiated chain, hence the same bits.
         """
-        return self._solver(target).solve(self.data_vector(assignment))
+        return self._times(self._solver(target), assignment)
 
     def hitting_sweep(
         self,
@@ -728,17 +608,16 @@ class ParametricChain:
             raise MarkovError(
                 f"unknown objective {objective!r}; known: mean, worst"
             )
-        solver = self._solver(target)
-        transient = ~solver.target
+        plan = self._solver(target)
         values: list[float] = []
         for assignment in assignments:
-            times = solver.solve(self.data_vector(assignment))
-            if not transient.any():
+            times = self._times(plan, assignment)[plan.solve_ids]
+            if not times.size:
                 values.append(0.0)
             elif objective == "mean":
-                values.append(float(times[transient].mean()))
+                values.append(float(times.mean()))
             else:
-                values.append(float(times[transient].max()))
+                values.append(float(times.max()))
         return values
 
 

@@ -1,133 +1,112 @@
-"""Micro-benchmarks of the pluggable step backends (PR 7).
+"""Micro-benchmarks of rank-space super-stepping in the one lockstep loop.
 
 The trajectory pair to watch is
 ``step_ring30_100k_sync_superstep`` vs ``..._plain``: the same
 100 000-trial deterministic synchronous sweep point (token circulation
 on a 30-ring, 64 tiled initial configurations) through the rank-space
-super-stepping path and through the per-step reference loop.  The
-acceptance bar for PR 7 is a ≥ 3× min speedup; in practice the
-super-step path is orders of magnitude faster because the interned
-closure is tiny relative to ``trials × steps``.
+super-stepping path and through the per-step path (forced by a zero
+``SUPERSTEP_BUDGET``).  Super-stepping is orders of magnitude faster
+because the interned closure is tiny relative to ``trials × steps``.
 
-``step_ring12_10k_central_blockdraw`` vs ``..._perstep`` tracks the
-overhead/benefit of block-drawn scheduler randomness on a stochastic
-central-daemon point where super-stepping cannot engage.
+``step_ring30_fused_sync_superstep`` runs the same workload as a fused
+four-point ``SweepRunner`` sweep with a different step budget per
+point, and asserts that the fused block super-steps too.
 
-The plain-loop side of the headline pair is expensive by construction
+The per-step side of the headline pair is expensive by construction
 (it is the thing being beaten), so it runs a single round.
 """
 
 import pytest
 
-from repro.algorithms.token_ring import make_token_ring_system
-from repro.core.kernel import TransitionKernel
-from repro.markov.backends import (
-    NumpyStepBackend,
-    _numba_installed,
-    get_step_backend,
+import repro.markov.batch as batch_module
+from repro.algorithms.token_ring import (
+    TokenCirculationSpec,
+    make_token_ring_system,
 )
+from repro.core.kernel import TransitionKernel
 from repro.markov.batch import (
     BatchEngine,
     EnabledCountLegitimacy,
     batch_strategy_for,
-    compile_legitimacy,
     encode_initials,
 )
 from repro.markov.montecarlo import random_configurations
+from repro.markov.sweep_engine import SweepPointSpec, SweepRunner
 from repro.random_source import RandomSource
-from repro.schedulers.samplers import (
-    CentralRandomizedSampler,
-    SynchronousSampler,
-)
+from repro.schedulers.samplers import SynchronousSampler
 
+RING_SIZE = 30
 SYNC_TRIALS = 100_000
 SYNC_MAX_STEPS = 120
-CENTRAL_TRIALS = 10_000
-CENTRAL_MAX_STEPS = 300
 INITIALS = 64
+TOKEN_LEGITIMACY = EnabledCountLegitimacy(1)
 
-#: The per-step loop with every fast path disabled — the PR 6 baseline.
-PLAIN = NumpyStepBackend(block_draw=False, superstep=False)
-
-
-def _point(ring_size, sampler, trials, seed=2026):
-    system = make_token_ring_system(ring_size)
-    engine = BatchEngine(TransitionKernel(system))
-    strategy = batch_strategy_for(sampler)
-    legitimacy = compile_legitimacy(EnabledCountLegitimacy(1))
-    initials = random_configurations(
-        system, RandomSource(seed + 1), INITIALS
-    )
-    codes = encode_initials(engine.encoding, initials, trials)
-    return engine, strategy, legitimacy, codes
+_SYSTEM = make_token_ring_system(RING_SIZE)
+_ENGINE = BatchEngine(TransitionKernel(_SYSTEM))
+_INITIALS = random_configurations(_SYSTEM, RandomSource(2027), INITIALS)
+_CODES = encode_initials(_ENGINE.encoding, _INITIALS, SYNC_TRIALS)
+_SPEC = TokenCirculationSpec()
 
 
-SYNC_POINT = _point(30, SynchronousSampler(), SYNC_TRIALS)
-CENTRAL_POINT = _point(12, CentralRandomizedSampler(), CENTRAL_TRIALS)
-
-
-def _run(point, max_steps, backend, seed=2026):
-    engine, strategy, legitimacy, codes = point
-    return engine.run(
-        strategy,
-        legitimacy,
-        codes,
-        max_steps,
-        RandomSource(seed).numpy_generator(),
-        backend=backend,
+def _run_point():
+    return _ENGINE.run(
+        batch_strategy_for(SynchronousSampler()),
+        TOKEN_LEGITIMACY,
+        _CODES,
+        SYNC_MAX_STEPS,
+        RandomSource(2026).numpy_generator(),
     )
 
 
-def test_step_ring30_100k_sync_plain(benchmark):
-    """PR 6 baseline: the per-step reference loop on the headline point."""
-    result = benchmark.pedantic(
-        lambda: _run(SYNC_POINT, SYNC_MAX_STEPS, PLAIN),
-        rounds=1,
-        iterations=1,
-    )
+def _fused_points():
+    return [
+        SweepPointSpec(
+            system=_SYSTEM,
+            sampler=SynchronousSampler(),
+            legitimate=lambda configuration: _SPEC.legitimate(
+                _SYSTEM, configuration
+            ),
+            trials=SYNC_TRIALS // 4,
+            max_steps=budget,
+            seed=2026 + budget,
+            batch_legitimate=TOKEN_LEGITIMACY,
+            initial_configurations=tuple(_INITIALS),
+            label=f"budget-{budget}",
+        )
+        for budget in (30, 60, 90, SYNC_MAX_STEPS)
+    ]
+
+
+def test_step_ring30_100k_sync_plain(benchmark, monkeypatch):
+    """Baseline: the per-step path on the headline point."""
+    monkeypatch.setattr(batch_module, "SUPERSTEP_BUDGET", 0)
+    result = benchmark.pedantic(_run_point, rounds=1, iterations=1)
+    assert result.stepping == "per-step:over-budget"
     assert result.times.size == SYNC_TRIALS
 
 
 def test_step_ring30_100k_sync_superstep(benchmark):
-    """Same point through rank-space super-stepping (PR 7 bar: ≥ 3×)."""
-    backend = NumpyStepBackend()
-    result = benchmark.pedantic(
-        lambda: _run(SYNC_POINT, SYNC_MAX_STEPS, backend),
-        rounds=3,
-        iterations=1,
-    )
-    assert backend.last_superstep, "super-stepping did not engage"
+    """Same point through rank-space super-stepping."""
+    result = benchmark.pedantic(_run_point, rounds=3, iterations=1)
+    assert result.stepping == "superstep", "super-stepping did not engage"
     assert result.times.size == SYNC_TRIALS
 
 
-def test_step_ring12_10k_central_perstep(benchmark):
-    """Stochastic central-daemon point, sequential per-step draws."""
-    result = benchmark.pedantic(
-        lambda: _run(CENTRAL_POINT, CENTRAL_MAX_STEPS, PLAIN),
-        rounds=2,
-        iterations=1,
+def test_step_ring30_fused_sync_superstep(benchmark):
+    """Four fused points, one budget each, super-stepped as one block."""
+    runner = SweepRunner(engine="fused")
+    results = benchmark.pedantic(
+        lambda: runner.run(_fused_points()), rounds=3, iterations=1
     )
-    assert result.converged.any()
+    assert [execution.stepping for execution in runner.last_plan] == [
+        "superstep"
+    ] * 4, "super-stepping did not engage on the fused block"
+    assert sum(result.trials for result in results) == SYNC_TRIALS
 
 
-def test_step_ring12_10k_central_blockdraw(benchmark):
-    """Same point with block-drawn scheduler randomness (stream-exact)."""
-    backend = NumpyStepBackend(superstep=False)
-    result = benchmark.pedantic(
-        lambda: _run(CENTRAL_POINT, CENTRAL_MAX_STEPS, backend),
-        rounds=3,
-        iterations=1,
-    )
-    assert result.converged.any()
-
-
-@pytest.mark.skipif(not _numba_installed(), reason="numba not installed")
-def test_step_ring12_10k_central_numba(benchmark):
-    """Optional JIT backend on the central point (skips without numba)."""
-    backend = get_step_backend("numba")
-    result = benchmark.pedantic(
-        lambda: _run(CENTRAL_POINT, CENTRAL_MAX_STEPS, backend),
-        rounds=3,
-        iterations=1,
-    )
-    assert result.converged.any()
+@pytest.mark.parametrize("engine", ["batch", "fused"])
+def test_step_ring30_sweep_stepping_is_superstep(engine):
+    """Unbenchmarked guard: both sweep paths super-step this point."""
+    runner = SweepRunner(engine=engine)
+    runner.run(_fused_points()[:1])
+    assert runner.last_plan[0].stepping == "superstep"

@@ -417,7 +417,7 @@ class ExpansionContext:
         #: action row has exactly one outcome: the synchronous (and
         #: single-enabled central) step is then a pure function of the
         #: configuration, which is what licenses rank-space
-        #: super-stepping (:mod:`repro.markov.backends`).
+        #: super-stepping (:mod:`repro.markov.batch`).
         self.deterministic = bool(
             (tables.action_count <= 1).all() and (self.arity == 1).all()
         )
@@ -666,7 +666,7 @@ def expansion_context(tables: CompiledKernelTables) -> ExpansionContext:
     """Memoized :class:`ExpansionContext` for one set of compiled tables.
 
     The context is pure derived structure, so every consumer sharing a
-    table object (batch step backends, chain builders, sharded
+    table object (lockstep super-stepping, chain builders, sharded
     exploration) can share one instance; the memo lives on the tables so
     it dies with them.
     """

@@ -144,7 +144,9 @@ def run_until(
 
     The predicate is also checked on the initial configuration, matching
     the convention that stabilization time from a legitimate configuration
-    is zero.
+    is zero.  ``hit_terminal`` reports a stop in an illegitimate terminal
+    configuration, also when it is reached on the last budgeted step (or
+    is the initial configuration of a zero budget).
     """
     engine = resolve_engine(system, kernel, use_kernel)
     trace = Trace.starting_at(initial, keep_configurations=record)
@@ -167,7 +169,11 @@ def run_until(
         trace.append(Step(moves) if record else None, cursor.configuration)
         if stop(cursor.configuration):
             return SimulationResult(trace, converged=True, hit_terminal=False)
-    return SimulationResult(trace, converged=False, hit_terminal=False)
+    # Out of budget: a terminal final configuration still counts as
+    # terminal, as in the lockstep engines (terminal before budget).
+    return SimulationResult(
+        trace, converged=False, hit_terminal=not cursor.enabled
+    )
 
 
 def _validate_subset(subset: Sequence[int], enabled: Sequence[int]) -> None:

@@ -25,17 +25,10 @@ selected experiments is then partitioned across that many worker
 processes (see :mod:`repro.stabilization.sharding`).  Results are
 identical for any shard count; only wall-clock changes.
 
-They also accept ``--fused`` / ``--no-fused``: whether multi-point
-Monte-Carlo sweeps fuse into one code matrix per system group (see
-:mod:`repro.markov.sweep_engine`; fusion is the default).
-``--no-fused`` restores the per-point engines — useful when comparing
-against the seeded per-point oracle.
-
-``--backend NAME`` selects the step backend for lockstep Monte-Carlo
-batches (see :mod:`repro.markov.backends`): ``auto`` (default — numba
-when installed, else numpy), ``numpy``, or ``numba``.  Every backend is
-stream-exact, so experiment outputs are identical; only wall-clock
-changes.
+Multi-point Monte-Carlo sweeps always fuse into one code matrix per
+system group, and every lockstep batch — fused or not — runs the one
+lockstep loop of :mod:`repro.markov.batch`, which super-steps
+deterministic blocks by itself; no flag changes either.
 """
 
 from __future__ import annotations
@@ -55,8 +48,6 @@ from repro.experiments.registry import (
     run_all,
     run_preset,
 )
-from repro.markov.backends import set_default_backend
-from repro.markov.sweep_engine import set_default_fusion
 from repro.stabilization.sharding import set_default_shards
 
 __all__ = ["main", "build_parser"]
@@ -89,38 +80,6 @@ def _add_shards_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_fused_flag(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(
-        "--fused",
-        dest="fused",
-        action="store_true",
-        default=None,
-        help="fuse multi-point Monte-Carlo sweeps into one code matrix"
-        " per system group (the default)",
-    )
-    group.add_argument(
-        "--no-fused",
-        dest="fused",
-        action="store_false",
-        help="run auto-engine Monte-Carlo sweep points through their own"
-        " per-point engines (the pre-fusion behavior); presets that"
-        " explicitly demand engine='fused' are unaffected",
-    )
-
-
-def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="step backend for lockstep Monte-Carlo batches: 'auto'"
-        " (default; numba when installed, else numpy), 'numpy', or"
-        " 'numba' — all backends are stream-exact, so results are"
-        " identical",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The argparse command tree."""
     parser = argparse.ArgumentParser(
@@ -135,16 +94,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = sub.add_parser("run", help="run selected experiments")
     run_parser.add_argument("ids", nargs="+", metavar="ID")
     _add_shards_flag(run_parser)
-    _add_fused_flag(run_parser)
-    _add_backend_flag(run_parser)
 
     run_all_parser = sub.add_parser("run-all", help="run every experiment")
     run_all_parser.add_argument(
         "--fast", action="store_true", help="shrink heavy parameters"
     )
     _add_shards_flag(run_all_parser)
-    _add_fused_flag(run_all_parser)
-    _add_backend_flag(run_all_parser)
 
     report_parser = sub.add_parser(
         "report", help="run everything, write markdown"
@@ -154,8 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
         "-o", "--output", default="EXPERIMENTS.generated.md"
     )
     _add_shards_flag(report_parser)
-    _add_fused_flag(report_parser)
-    _add_backend_flag(report_parser)
 
     campaign_parser = sub.add_parser(
         "campaign",
@@ -256,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="LRU bound on cached system compilations (kernels, lockstep"
         " tables, runners); default 64",
     )
-    _add_backend_flag(serve_parser)
     return parser
 
 
@@ -342,15 +294,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"(explorations sharded across {resolved} workers)")
         else:
             print("(explorations running in-process: 1 shard resolved)")
-    if getattr(args, "fused", None) is not None:
-        set_default_fusion(args.fused)
-        if args.fused:
-            print("(multi-point Monte-Carlo sweeps fused)")
-        else:
-            print("(multi-point Monte-Carlo sweeps running per point)")
-    if getattr(args, "backend", None) is not None:
-        resolved = set_default_backend(args.backend)
-        print(f"(lockstep step backend: {resolved})")
     if args.command == "list":
         for experiment_id in all_ids():
             experiment = get_experiment(experiment_id)

@@ -32,7 +32,6 @@ from repro.markov.montecarlo import (
     MonteCarloResult,
     MonteCarloRunner,
     estimate_stabilization_time,
-    fault_result_from_arrays,
     random_configuration,
     random_configurations,
 )
@@ -41,8 +40,6 @@ from repro.markov.sweep_engine import (
     PointExecution,
     SweepPointSpec,
     SweepRunner,
-    default_fusion,
-    set_default_fusion,
 )
 
 __all__ = [
@@ -64,7 +61,6 @@ __all__ = [
     "MonteCarloResult",
     "MonteCarloRunner",
     "estimate_stabilization_time",
-    "fault_result_from_arrays",
     "random_configuration",
     "random_configurations",
     "BatchEngine",
@@ -77,6 +73,4 @@ __all__ = [
     "SweepPointSpec",
     "SweepRunner",
     "PointExecution",
-    "set_default_fusion",
-    "default_fusion",
 ]

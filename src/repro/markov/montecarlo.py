@@ -14,10 +14,16 @@ call via ``engine``):
   sampler, round counting, and is the equivalence oracle for the batch
   path.
 * ``"batch"`` — all trials advance in lockstep as a ``(trials ×
-  processes)`` code matrix through :class:`repro.markov.batch.BatchEngine`
-  (same sampling distributions, NumPy random stream).  Needs a
-  vectorizable sampler and no round measurement.
+  processes)`` code matrix: a one-point block of the one lockstep loop,
+  :meth:`repro.markov.batch.BatchEngine.run_block` (same sampling
+  distributions, NumPy random stream).  Needs a vectorizable sampler
+  and no round measurement.
 * ``"auto"`` (default) — batch when supported, scalar otherwise.
+
+Every engine — and every point of a fused sweep — reduces its per-trial
+outcome vectors through :func:`reduce_trials`, the one place that turns
+them into a :class:`MonteCarloResult` and a :class:`TrialOutcomes` sink
+record.
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ from repro.errors import MarkovError, ModelError
 from repro.markov.batch import (
     BatchEngine,
     BatchLegitimacy,
+    BatchRunResult,
+    LockstepBlock,
     batch_strategy_for,
     compile_legitimacy,
     encode_initials,
@@ -45,8 +53,8 @@ from repro.random_source import RandomSource
 from repro.stabilization.faults import CompiledFault, FaultPlan, compile_fault
 
 __all__ = ["MonteCarloResult", "MonteCarloRunner", "TrialOutcomes",
-           "TrialSink", "estimate_stabilization_time",
-           "fault_result_from_arrays", "random_configuration",
+           "TrialSink", "estimate_stabilization_time", "point_outcomes",
+           "reduce_trials", "random_configuration",
            "random_configurations"]
 
 #: Accepted ``engine`` values.
@@ -214,45 +222,85 @@ class MonteCarloResult:
         return base
 
 
-def fault_result_from_arrays(
-    trials: int,
-    times: np.ndarray,
-    converged: np.ndarray,
-    hit_terminal: np.ndarray,
-    timed_out: np.ndarray,
-    fault_times: np.ndarray,
-    legit_counts: np.ndarray,
-    observations: np.ndarray,
-    max_runs: np.ndarray,
+def reduce_trials(
+    outcome: TrialOutcomes,
+    availability: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    *,
     keep_samples: bool = True,
+    sink: TrialSink | None = None,
 ) -> MonteCarloResult:
-    """Assemble a fault-injected :class:`MonteCarloResult` from the
-    per-trial outcome vectors of the fault timeline.
+    """The one reducer: emit one point's per-trial vectors to ``sink``
+    and summarize them as a :class:`MonteCarloResult`.
 
     Every engine — scalar oracle, lockstep batch, fused sweep — reduces
-    its per-trial integers through *this* function, so the derived
-    floating-point metrics (availability, recovery statistics) are
-    bit-identical whenever the integer vectors are.  With
-    ``keep_samples=False`` the raw per-trial tuples are dropped from the
-    result (summaries survive).
+    through *this* function, so the derived floating-point metrics are
+    bit-identical whenever the integer vectors are.  A fault-injected
+    point carries ``outcome.fault_times`` plus ``availability =
+    (legit_counts, observations, max_runs)`` and gains the
+    re-convergence metrics; ``outcome.rounds`` adds the round
+    statistics.  With ``keep_samples=False`` the raw per-trial tuples
+    are dropped from the result (summaries survive).
     """
-    samples = [float(t) for t in times[converged]]
-    fired = fault_times >= 0
-    recovered = converged & fired
-    recovery = [float(t) for t in (times - fault_times)[recovered]]
-    return MonteCarloResult(
+    if sink is not None:
+        sink(outcome)
+    converged = outcome.converged
+    trials = outcome.trials
+    samples = [float(t) for t in outcome.times[converged]]
+    rounds = (
+        [float(r) for r in outcome.rounds[converged]]
+        if outcome.rounds is not None
+        else []
+    )
+    fields: dict[str, object] = dict(
         trials=trials,
         converged=len(samples),
         censored=trials - len(samples),
         stats=summarize(samples) if samples else None,
-        round_stats=None,
+        round_stats=summarize(rounds) if rounds else None,
         samples=tuple(samples) if keep_samples else None,
-        timed_out=int(timed_out.sum()),
-        faulted=int(fired.sum()),
-        recovery_stats=summarize(recovery) if recovery else None,
-        recovery_samples=tuple(recovery) if keep_samples else None,
-        availability=float(np.mean(legit_counts / observations)),
-        max_excursion=int(max_runs.max()) if max_runs.size else 0,
+        timed_out=int(outcome.timed_out.sum()),
+    )
+    if outcome.fault_times is not None:
+        legit_counts, observations, max_runs = availability
+        fired = outcome.fault_times >= 0
+        recovered = converged & fired
+        recovery = [
+            float(t) for t in (outcome.times - outcome.fault_times)[recovered]
+        ]
+        fields.update(
+            faulted=int(fired.sum()),
+            recovery_stats=summarize(recovery) if recovery else None,
+            recovery_samples=tuple(recovery) if keep_samples else None,
+            availability=float(np.mean(legit_counts / observations)),
+            max_excursion=int(max_runs.max()) if max_runs.size else 0,
+        )
+    return MonteCarloResult(**fields)
+
+
+def point_outcomes(
+    run: BatchRunResult,
+    rows: slice = slice(None),
+    faulted: bool = False,
+    point: int = 0,
+    label: str | None = None,
+) -> tuple[TrialOutcomes, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
+    """One point's rows of a lockstep run, as :func:`reduce_trials`
+    arguments (``faulted`` adds the fault-timeline vectors)."""
+    outcome = TrialOutcomes(
+        point=point,
+        label=label,
+        times=run.times[rows],
+        converged=run.converged[rows],
+        timed_out=run.timed_out[rows],
+        hit_terminal=run.hit_terminal[rows],
+        fault_times=run.fault_times[rows] if faulted else None,
+    )
+    if not faulted:
+        return outcome, None
+    return outcome, (
+        run.legit_counts[rows],
+        run.observations[rows],
+        run.max_runs[rows],
     )
 
 
@@ -295,7 +343,6 @@ class MonteCarloRunner:
         kernel: TransitionKernel | None = None,
         engine: str = "auto",
         batch_engine: BatchEngine | None = None,
-        backend: str | None = None,
     ) -> None:
         if engine not in ENGINES:
             raise MarkovError(
@@ -304,12 +351,6 @@ class MonteCarloRunner:
         self.system = system
         self.kernel = kernel if kernel is not None else TransitionKernel(system)
         self.engine = engine
-        # Step-backend spec for lockstep runs (see
-        # :mod:`repro.markov.backends`); ``None`` keeps the process
-        # default.  Orthogonal to ``engine``: the engine picks the
-        # execution tier (scalar vs batch), the backend picks how the
-        # batch tier steps.
-        self.backend = backend
         # ``batch_engine`` lets a multi-system driver (SweepRunner)
         # share one compiled engine instead of recompiling here.
         self._batch_engine: BatchEngine | None = batch_engine
@@ -325,9 +366,7 @@ class MonteCarloRunner:
             if self._batch_compile_error is not None:
                 raise self._batch_compile_error
             try:
-                self._batch_engine = BatchEngine(
-                    self.kernel, backend=self.backend
-                )
+                self._batch_engine = BatchEngine(self.kernel)
             except ModelError as error:
                 self._batch_compile_error = error
                 raise
@@ -345,7 +384,6 @@ class MonteCarloRunner:
         engine: str | None = None,
         batch_legitimate: BatchLegitimacy | None = None,
         fault: FaultPlan | None = None,
-        backend: str | None = None,
         keep_samples: bool = True,
         sink: TrialSink | None = None,
     ) -> MonteCarloResult:
@@ -368,12 +406,6 @@ class MonteCarloRunner:
         same fault timeline, so cross-engine equivalence holds under
         corruption too.
 
-        ``backend`` overrides the runner-wide step backend for this
-        estimate's lockstep run (see :mod:`repro.markov.backends`); all
-        built-in backends are stream-exact, so this is a throughput
-        knob, never a semantics knob.  Fault runs always execute the
-        reference per-step path.
-
         ``keep_samples=False`` drops the per-trial sample tuples from
         the returned result (summary statistics are unaffected), and
         ``sink`` streams the full per-trial outcome vectors to a
@@ -385,6 +417,8 @@ class MonteCarloRunner:
         """
         if trials < 1:
             raise MarkovError("need at least one trial")
+        if max_steps < 0:
+            raise MarkovError("max_steps must be >= 0")
         if initial_configurations is not None and not initial_configurations:
             raise MarkovError("need at least one initial configuration")
         engine = engine if engine is not None else self.engine
@@ -411,7 +445,6 @@ class MonteCarloRunner:
                 initial_configurations,
                 batch_legitimate,
                 compiled_fault,
-                backend,
                 keep_samples,
                 sink,
             )
@@ -489,7 +522,6 @@ class MonteCarloRunner:
         initial_configurations: Sequence[Configuration] | None,
         batch_legitimate: BatchLegitimacy | None,
         fault: CompiledFault | None = None,
-        backend: str | None = None,
         keep_samples: bool = True,
         sink: TrialSink | None = None,
     ) -> MonteCarloResult:
@@ -507,67 +539,16 @@ class MonteCarloRunner:
         )
         strategy = batch_strategy_for(sampler)
         assert strategy is not None  # _batch_supported vetted it
-        if fault is not None:
-            outcome = engine.run_with_fault(
-                strategy,
-                legitimacy,
-                codes,
-                max_steps,
-                rng.numpy_generator(),
-                fault,
-            )
-            if sink is not None:
-                sink(
-                    TrialOutcomes(
-                        point=0,
-                        label=None,
-                        times=outcome.times,
-                        converged=outcome.converged,
-                        timed_out=outcome.timed_out,
-                        hit_terminal=outcome.hit_terminal,
-                        fault_times=outcome.fault_times,
-                    )
-                )
-            return fault_result_from_arrays(
-                trials,
-                outcome.times,
-                outcome.converged,
-                outcome.hit_terminal,
-                outcome.timed_out,
-                outcome.fault_times,
-                outcome.legit_counts,
-                outcome.observations,
-                outcome.max_runs,
-                keep_samples,
-            )
-        outcome = engine.run(
-            strategy,
-            legitimacy,
-            codes,
-            max_steps,
+        run = engine.run_block(
+            LockstepBlock.single(
+                strategy, legitimacy, codes, max_steps, fault
+            ),
             rng.numpy_generator(),
-            backend=backend,
         )
-        if sink is not None:
-            sink(
-                TrialOutcomes(
-                    point=0,
-                    label=None,
-                    times=outcome.times,
-                    converged=outcome.converged,
-                    timed_out=~outcome.converged & ~outcome.hit_terminal,
-                    hit_terminal=outcome.hit_terminal,
-                )
-            )
-        times = outcome.stabilization_times
-        return MonteCarloResult(
-            trials=trials,
-            converged=len(times),
-            censored=trials - len(times),
-            stats=summarize(times) if times else None,
-            round_stats=None,
-            samples=tuple(times) if keep_samples else None,
-            timed_out=trials - len(times) - int(outcome.hit_terminal.sum()),
+        return reduce_trials(
+            *point_outcomes(run, faulted=fault is not None),
+            keep_samples=keep_samples,
+            sink=sink,
         )
 
     def _estimate_scalar(
@@ -583,21 +564,11 @@ class MonteCarloRunner:
         sink: TrialSink | None = None,
     ) -> MonteCarloResult:
         system = self.system
-        times: list[float] = []
-        rounds: list[float] = []
-        censored = 0
-        timed_out = 0
-        # Per-trial vectors, materialized only when a sink will consume
-        # them — the plain path keeps its historical footprint.
-        vectors: dict[str, np.ndarray] | None = None
-        if sink is not None:
-            vectors = {
-                "times": np.zeros(trials, dtype=np.int64),
-                "converged": np.zeros(trials, dtype=bool),
-                "timed_out": np.zeros(trials, dtype=bool),
-                "hit_terminal": np.zeros(trials, dtype=bool),
-                "rounds": np.full(trials, np.nan),
-            }
+        times = np.zeros(trials, dtype=np.int64)
+        converged = np.zeros(trials, dtype=bool)
+        timed_out = np.zeros(trials, dtype=bool)
+        hit_terminal = np.zeros(trials, dtype=bool)
+        rounds = np.full(trials, np.nan) if measure_rounds else None
         domains = (
             _domain_table(system) if initial_configurations is None else None
         )
@@ -622,47 +593,28 @@ class MonteCarloRunner:
                 record=measure_rounds,
             )
             if result.converged:
-                times.append(float(result.steps_taken))
-                if measure_rounds:
-                    rounds.append(float(count_rounds(system, result.trace)))
-                if vectors is not None:
-                    vectors["times"][trial] = result.steps_taken
-                    vectors["converged"][trial] = True
-                    if measure_rounds:
-                        vectors["rounds"][trial] = rounds[-1]
+                times[trial] = result.steps_taken
+                converged[trial] = True
+                if rounds is not None:
+                    rounds[trial] = count_rounds(system, result.trace)
             elif result.hit_terminal:
                 # Terminal but illegitimate: the run can never converge.
                 # Count it as censored so the caller sees the failure.
-                censored += 1
-                if vectors is not None:
-                    vectors["hit_terminal"][trial] = True
+                hit_terminal[trial] = True
             else:
-                censored += 1
-                timed_out += 1
-                if vectors is not None:
-                    vectors["timed_out"][trial] = True
-        if sink is not None:
-            sink(
-                TrialOutcomes(
-                    point=0,
-                    label=None,
-                    times=vectors["times"],
-                    converged=vectors["converged"],
-                    timed_out=vectors["timed_out"],
-                    hit_terminal=vectors["hit_terminal"],
-                    rounds=vectors["rounds"] if measure_rounds else None,
-                )
-            )
-        stats = summarize(times) if times else None
-        round_stats = summarize(rounds) if rounds else None
-        return MonteCarloResult(
-            trials=trials,
-            converged=len(times),
-            censored=censored,
-            stats=stats,
-            round_stats=round_stats,
-            samples=tuple(times) if keep_samples else None,
-            timed_out=timed_out,
+                timed_out[trial] = True
+        return reduce_trials(
+            TrialOutcomes(
+                point=0,
+                label=None,
+                times=times,
+                converged=converged,
+                timed_out=timed_out,
+                hit_terminal=hit_terminal,
+                rounds=rounds,
+            ),
+            keep_samples=keep_samples,
+            sink=sink,
         )
 
     def _estimate_scalar_fault(
@@ -754,29 +706,19 @@ class MonteCarloRunner:
                 _validate_subset(subset, enabled)
                 cursor.advance(subset, rng)
                 step += 1
-        if sink is not None:
-            sink(
-                TrialOutcomes(
-                    point=0,
-                    label=None,
-                    times=times,
-                    converged=converged,
-                    timed_out=timed_out,
-                    hit_terminal=hit_terminal,
-                    fault_times=fault_times,
-                )
-            )
-        return fault_result_from_arrays(
-            trials,
-            times,
-            converged,
-            hit_terminal,
-            timed_out,
-            fault_times,
-            legit_counts,
-            observations,
-            max_runs,
-            keep_samples,
+        return reduce_trials(
+            TrialOutcomes(
+                point=0,
+                label=None,
+                times=times,
+                converged=converged,
+                timed_out=timed_out,
+                hit_terminal=hit_terminal,
+                fault_times=fault_times,
+            ),
+            (legit_counts, observations, max_runs),
+            keep_samples=keep_samples,
+            sink=sink,
         )
 
     def batch(self, cases: Sequence[dict]) -> list[MonteCarloResult]:
@@ -857,8 +799,7 @@ class MonteCarloRunner:
             )
         if specs:
             runner = SweepRunner(
-                engine="fused" if self.engine == "batch" else "auto",
-                backend=self.backend,
+                engine="fused" if self.engine == "batch" else "auto"
             )
             # Share this runner's kernel and compiled engine — or its
             # cached compilation *failure*, so an over-budget system is
@@ -892,14 +833,13 @@ def estimate_stabilization_time(
     engine: str = "auto",
     batch_legitimate: BatchLegitimacy | None = None,
     fault: FaultPlan | None = None,
-    backend: str | None = None,
 ) -> MonteCarloResult:
     """Sample stabilization times over random starts and scheduler draws.
 
     Thin wrapper over :class:`MonteCarloRunner`: one kernel is shared by
     all trials (pass ``kernel`` to also share it with other callers).
     """
-    return MonteCarloRunner(system, kernel, backend=backend).estimate(
+    return MonteCarloRunner(system, kernel).estimate(
         sampler,
         legitimate,
         trials=trials,

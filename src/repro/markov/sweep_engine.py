@@ -16,11 +16,14 @@ code matrix per point.  :class:`SweepRunner` fuses them:
   systems constructed independently (concurrent tenants of the serving
   tier) therefore share one compilation *and* one fused matrix;
 * **same-system points fuse** into one ``(Σ trials × processes)`` code
-  matrix carrying a per-row *point id* and a per-row *step budget*;
-  legitimacy and scheduler draws dispatch per point (points sharing a
-  predicate or sampler signature share one vectorized call), so each
-  lockstep iteration pays the interpreter overhead once for the whole
-  sweep instead of once per point;
+  matrix carrying a per-row *point id* and a per-row *step budget* — a
+  :class:`~repro.markov.batch.LockstepBlock` run by the one lockstep
+  loop, :meth:`~repro.markov.batch.BatchEngine.run_block`; legitimacy
+  and scheduler draws dispatch per point (points sharing a predicate or
+  sampler signature share one vectorized call), so each lockstep
+  iteration pays the interpreter overhead once for the whole sweep
+  instead of once per point, and a deterministic block super-steps in
+  rank space exactly as a single-point batch does;
 * **points of different N** within a group run as block-scheduled
   sub-batches — one fused matrix per system, executed back to back over
   cached kernels/tables (table compilation is memoized per system for
@@ -39,7 +42,9 @@ per-point engines draw them, so scalar-oracle runs of the same specs
 reproduce the pre-fusion streams bit-for-bit, while the fused lockstep
 draws come from one NumPy generator folded over the group's seeds
 (distribution-identical, stream-different — the same contract as the
-PR 2 batch engine).
+batch engine).  ``engine="batch"`` runs each point as its own one-point
+block on the generator its own seed yields, which is all that separates
+it from fusion.
 """
 
 from __future__ import annotations
@@ -51,7 +56,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.analysis.stats import summarize
 from repro.core.configuration import Configuration
 from repro.core.kernel import DEFAULT_TABLE_BUDGET, TransitionKernel
 from repro.core.simulate import SchedulerSampler
@@ -61,6 +65,7 @@ from repro.markov.batch import (
     BatchEngine,
     BatchLegitimacy,
     EnabledCountLegitimacy,
+    LockstepBlock,
     batch_strategy_for,
     compile_legitimacy,
     encode_initials,
@@ -70,8 +75,9 @@ from repro.markov.montecarlo import (
     MonteCarloRunner,
     TrialOutcomes,
     TrialSink,
-    fault_result_from_arrays,
+    point_outcomes,
     random_configurations,
+    reduce_trials,
 )
 from repro.random_source import RandomSource
 from repro.schedulers.samplers import (
@@ -89,34 +95,12 @@ __all__ = [
     "SweepPointSpec",
     "PointExecution",
     "SweepRunner",
-    "set_default_fusion",
-    "default_fusion",
 ]
 
 #: Accepted ``engine`` values: ``"fused"`` demands the fused matrix for
 #: every point, ``"batch"``/``"scalar"`` run every point through the
 #: corresponding per-point engine, ``"auto"`` fuses what it can.
 SWEEP_ENGINES = ("auto", "fused", "batch", "scalar")
-
-#: Process-wide default for ``engine="auto"`` — the experiments CLI
-#: flips it via ``--fused/--no-fused``.
-_DEFAULT_FUSION = True
-
-
-def set_default_fusion(enabled: bool) -> None:
-    """Set whether ``engine="auto"`` sweeps fuse by default.
-
-    ``False`` makes ``"auto"`` behave like the pre-fusion per-point
-    path (one :class:`MonteCarloRunner` ``engine="auto"`` estimate per
-    point); the experiments CLI exposes this as ``--no-fused``.
-    """
-    global _DEFAULT_FUSION
-    _DEFAULT_FUSION = bool(enabled)
-
-
-def default_fusion() -> bool:
-    """Whether ``engine="auto"`` sweeps fuse by default."""
-    return _DEFAULT_FUSION
 
 
 @dataclass(frozen=True)
@@ -150,13 +134,20 @@ class SweepPointSpec:
 
 @dataclass(frozen=True)
 class PointExecution:
-    """How one point actually ran — recorded in ``SweepRunner.last_plan``."""
+    """How one point actually ran — recorded in ``SweepRunner.last_plan``.
+
+    ``stepping`` is the lockstep block's
+    :attr:`~repro.markov.batch.BatchRunResult.stepping` (``"superstep"``
+    or ``"per-step:<reason>"``) for fused and batch points, ``None`` for
+    scalar ones.
+    """
 
     index: int
     label: str | None
     group: tuple[str, str]
     engine: str
     fused_rows: int = 0
+    stepping: str | None = None
 
 
 def _strategy_signature(sampler: SchedulerSampler) -> tuple:
@@ -242,26 +233,24 @@ class SweepRunner:
 
     * ``"auto"`` (default) — fuse every point whose sampler has a
       vectorized strategy and whose tables fit the budget; per-point
-      scalar otherwise.  When fusion is globally disabled
-      (:func:`set_default_fusion`, the CLI's ``--no-fused``), behaves
-      as per-point ``MonteCarloRunner(engine="auto")`` instead;
+      scalar otherwise;
     * ``"fused"`` — demand the fused matrix for every point, raising
       :class:`MarkovError` when any point cannot take it;
-    * ``"batch"`` — per-point lockstep engine (no fusion) — the
-      baseline the fusion benchmark compares against;
+    * ``"batch"`` — one lockstep block per point (no fusion), raising
+      like ``"fused"`` when a point cannot take it;
     * ``"scalar"`` — per-point scalar oracle, consuming
       ``RandomSource(seed)`` exactly as pre-fusion callers did.
 
     After :meth:`run`, ``last_plan`` records one :class:`PointExecution`
     per input point (input order) — which group it joined, which engine
-    executed it, and how many rows its fused matrix carried.
+    executed it, how many rows its fused matrix carried, and how its
+    lockstep block stepped.
     """
 
     def __init__(
         self,
         engine: str = "auto",
         table_budget: int = DEFAULT_TABLE_BUDGET,
-        backend: str | None = None,
         cache_size: int | None = DEFAULT_SYSTEM_CACHE,
     ) -> None:
         if engine not in SWEEP_ENGINES:
@@ -274,12 +263,6 @@ class SweepRunner:
             )
         self.engine = engine
         self.table_budget = table_budget
-        # Step-backend spec for per-point lockstep batches (see
-        # :mod:`repro.markov.backends`); ``None`` keeps the process
-        # default.  The fused matrix keeps its own reference stepping —
-        # fused rows carry per-point budgets/legitimacies that the
-        # backends' fast paths do not model.
-        self.backend = backend
         self.last_plan: list[PointExecution] = []
         # Per-system cache, keyed by the canonical *content* signature
         # (:func:`repro.store.columnar.system_cache_key`), never by
@@ -376,9 +359,7 @@ class SweepRunner:
         if entry.engine is None:
             try:
                 entry.engine = BatchEngine(
-                    self._kernel_for(entry.system),
-                    self.table_budget,
-                    backend=self.backend,
+                    self._kernel_for(entry.system), self.table_budget
                 )
             except ModelError as error:
                 entry.engine = error
@@ -388,14 +369,7 @@ class SweepRunner:
         entry = self._entry_for(system)
         if entry.runner is None:
             entry.runner = MonteCarloRunner(
-                entry.system,
-                kernel=self._kernel_for(entry.system),
-                batch_engine=(
-                    entry.engine
-                    if isinstance(entry.engine, BatchEngine)
-                    else None
-                ),
-                backend=self.backend,
+                entry.system, kernel=self._kernel_for(entry.system)
             )
         return entry.runner
 
@@ -447,24 +421,37 @@ class SweepRunner:
                 for index in indices:
                     spec = points[index]
                     engine = self._resolve_engine(spec)
+                    stepping = None
                     if engine == "fused":
                         fused.append((index, spec))
+                        continue
+                    if engine == "batch":
+                        block_results, stepping = self._run_block(
+                            self._batch_engine_for(system),
+                            [(index, spec)],
+                            sink,
+                            keep_samples,
+                            fused=False,
+                        )
+                        results[index] = block_results[index]
                     else:
                         results[index] = self._run_point(
-                            spec, engine, index, sink, keep_samples
+                            spec, index, sink, keep_samples
                         )
                     plan[index] = PointExecution(
                         index=index,
                         label=spec.label,
                         group=group_key,
                         engine=engine,
-                        fused_rows=0,
+                        stepping=stepping,
                     )
                 if fused:
-                    engine_obj = self._batch_engine_for(system)
-                    assert isinstance(engine_obj, BatchEngine)
-                    block_results = self._run_fused(
-                        engine_obj, fused, sink, keep_samples
+                    block_results, stepping = self._run_block(
+                        self._batch_engine_for(system),
+                        fused,
+                        sink,
+                        keep_samples,
+                        fused=True,
                     )
                     rows = sum(spec.trials for _, spec in fused)
                     for index, _ in fused:
@@ -475,6 +462,7 @@ class SweepRunner:
                             group=group_key,
                             engine="fused",
                             fused_rows=rows,
+                            stepping=stepping,
                         )
 
         self.last_plan = [plan[index] for index in range(len(points))]
@@ -527,13 +515,9 @@ class SweepRunner:
 
     def _resolve_engine(self, spec: SweepPointSpec) -> str:
         """The engine one point will actually run on."""
-        if self.engine in ("batch", "scalar"):
-            return self.engine
-        require = self.engine == "fused"
-        if self.engine == "auto" and not default_fusion():
-            # Pre-fusion behavior: per-point MonteCarloRunner "auto",
-            # which itself picks batch or scalar per point.
-            return "per-point-auto"
+        if self.engine == "scalar":
+            return "scalar"
+        require = self.engine != "auto"
         if batch_strategy_for(spec.sampler) is None:
             if require:
                 raise MarkovError(
@@ -547,17 +531,16 @@ class SweepRunner:
             if require:
                 raise engine
             return "scalar"
-        return "fused"
+        return "batch" if self.engine == "batch" else "fused"
 
     def _run_point(
         self,
         spec: SweepPointSpec,
-        engine: str,
-        index: int = 0,
-        sink: TrialSink | None = None,
-        keep_samples: bool = True,
+        index: int,
+        sink: TrialSink | None,
+        keep_samples: bool,
     ) -> MonteCarloResult:
-        """Per-point fallback through the shared-kernel runner."""
+        """Per-point scalar oracle through the shared-kernel runner."""
         runner = self._runner_for(spec.system)
         point_sink: TrialSink | None = None
         if sink is not None:
@@ -575,313 +558,124 @@ class SweepRunner:
             max_steps=spec.max_steps,
             rng=RandomSource(spec.seed),
             initial_configurations=spec.initial_configurations,
-            engine="auto" if engine == "per-point-auto" else engine,
-            batch_legitimate=spec.batch_legitimate,
-            fault=spec.fault,
+            engine="scalar",
             keep_samples=keep_samples,
             sink=point_sink,
+            fault=spec.fault,
         )
 
     # ------------------------------------------------------------------
-    # the fused engine
+    # lockstep blocks
     # ------------------------------------------------------------------
-    def _run_fused(
+    def _run_block(
         self,
         engine: BatchEngine,
         members: Sequence[tuple[int, SweepPointSpec]],
-        sink: TrialSink | None = None,
-        keep_samples: bool = True,
-    ) -> dict[int, MonteCarloResult]:
-        """Advance all member points in one lockstep code matrix.
+        sink: TrialSink | None,
+        keep_samples: bool,
+        fused: bool,
+    ) -> tuple[dict[int, MonteCarloResult], str]:
+        """Advance ``members`` as one lockstep block; returns the
+        per-point results and the block's stepping label.
 
-        Per-trial semantics match :meth:`BatchEngine.run` exactly —
-        legitimacy tested at time 0 and after every step, illegitimate
-        terminal rows retire as censored — with two generalizations:
-        a per-row *step budget* (rows retire censored when their own
-        point's ``max_steps`` is exhausted) and per-point dispatch of
-        legitimacy predicates and scheduler strategies over row slices
-        of the shared matrix.  Points carrying a
-        :class:`~repro.stabilization.faults.FaultPlan` additionally run
-        the fault timeline of :meth:`BatchEngine.run_with_fault` on
-        their row slices (pending faults block retirement, fixed-step
-        faults park terminal rows, availability/excursion bookkeeping
-        per observation); a fault-free sweep takes the exact pre-fault
-        instruction path, consuming an identical random stream.
+        Initial configurations come from each point's
+        ``RandomSource(seed)``; the lockstep draws come from one
+        generator folded over the members' seeds when ``fused``, else
+        (one member) from the generator its own source yields next —
+        the per-point stream of ``MonteCarloRunner.estimate``.  Each
+        point's rows are reduced and emitted to ``sink`` in member
+        order once the block completes.
         """
-        tables = engine.tables
         encoding = engine.encoding
         system = engine.kernel.system
         specs = [spec for _, spec in members]
-        counts = np.array([spec.trials for spec in specs], dtype=np.int64)
-
-        blocks = []
-        for spec in specs:
+        sources = [RandomSource(spec.seed) for spec in specs]
+        initial_blocks = []
+        for spec, source in zip(specs, sources):
             if spec.initial_configurations is not None:
-                blocks.append(
+                initial_blocks.append(
                     encode_initials(
                         encoding, spec.initial_configurations, spec.trials
                     )
                 )
             else:
-                blocks.append(
+                initial_blocks.append(
                     encoding.encode_batch(
-                        random_configurations(
-                            system, RandomSource(spec.seed), spec.trials
-                        )
+                        random_configurations(system, source, spec.trials)
                     )
                 )
-        codes = np.concatenate(blocks, axis=0)
-        total_rows = int(counts.sum())
-        point = np.repeat(np.arange(len(specs)), counts)
-        budget = np.repeat(
-            np.array([spec.max_steps for spec in specs], dtype=np.int64),
-            counts,
-        )
+        if fused:
+            generator = RandomSource(
+                _fold_seeds([spec.seed for spec in specs])
+            ).numpy_generator()
+        else:
+            (source,) = sources
+            generator = source.numpy_generator()
 
         # Dispatch groups: member mask per distinct legitimacy/strategy
         # signature — one vectorized call per signature per step.
-        legit_groups: list[tuple[BatchLegitimacy, np.ndarray]] = []
-        signature_rows: dict[tuple, list[int]] = {}
-        for member, spec in enumerate(specs):
-            signature_rows.setdefault(
-                _legitimacy_signature(spec), []
-            ).append(member)
-        for signature, group_members in signature_rows.items():
-            spec = specs[group_members[0]]
-            legitimacy = compile_legitimacy(
-                spec.batch_legitimate
-                if spec.batch_legitimate is not None
-                else spec.legitimate
+        legitimacies = [
+            (
+                compile_legitimacy(
+                    spec.batch_legitimate
+                    if spec.batch_legitimate is not None
+                    else spec.legitimate
+                ),
+                mask,
             )
-            mask = np.zeros(len(specs), dtype=bool)
-            mask[group_members] = True
-            legit_groups.append((legitimacy, mask))
-
-        strategy_groups = []
-        signature_rows = {}
-        for member, spec in enumerate(specs):
-            signature_rows.setdefault(
-                _strategy_signature(spec.sampler), []
-            ).append(member)
-        for signature, group_members in signature_rows.items():
-            strategy = batch_strategy_for(specs[group_members[0]].sampler)
-            assert strategy is not None  # vetted by _resolve_engine
-            mask = np.zeros(len(specs), dtype=bool)
-            mask[group_members] = True
-            strategy_groups.append((strategy, mask))
-
-        generator = RandomSource(
-            _fold_seeds([spec.seed for spec in specs])
-        ).numpy_generator()
-
-        # Per-point fault plans, compiled against the shared encoding.
-        # ``step_of_point`` encodes each member's trigger: -2 no fault,
-        # -1 at-convergence, >= 0 fixed step.
+            for spec, mask in _dispatch_groups(specs, _legitimacy_signature)
+        ]
+        strategies = [
+            (batch_strategy_for(spec.sampler), mask)
+            for spec, mask in _dispatch_groups(
+                specs, lambda spec: _strategy_signature(spec.sampler)
+            )
+        ]
         faults = [
             compile_fault(spec.fault, encoding, spec.trials)
             if spec.fault is not None
             else None
             for spec in specs
         ]
-        any_fault = any(fault is not None for fault in faults)
-        step_of_point = np.array(
-            [
-                -2
-                if fault is None
-                else (-1 if fault.at_convergence else fault.step)
-                for fault in faults
-            ],
-            dtype=np.int64,
+        counts = [spec.trials for spec in specs]
+        run = engine.run_block(
+            LockstepBlock(
+                np.concatenate(initial_blocks, axis=0),
+                counts,
+                [spec.max_steps for spec in specs],
+                legitimacies,
+                strategies,
+                faults,
+            ),
+            generator,
         )
-        offsets = np.cumsum(counts) - counts
-
-        times = np.zeros(total_rows, dtype=np.int64)
-        converged = np.zeros(total_rows, dtype=bool)
-        hit_terminal = np.zeros(total_rows, dtype=bool)
-        timed_out = np.zeros(total_rows, dtype=bool)
-        fault_times = np.full(total_rows, -1, dtype=np.int64)
-        legit_counts = np.zeros(total_rows, dtype=np.int64)
-        observations = np.zeros(total_rows, dtype=np.int64)
-        max_runs = np.zeros(total_rows, dtype=np.int64)
-        active = np.arange(total_rows)
-        # Aligned with ``active`` and compacted together with it.
-        pending = step_of_point[point] != -2
-        cur_run = np.zeros(total_rows, dtype=np.int64)
-
-        def retire(keep: np.ndarray) -> None:
-            nonlocal active, codes, point, budget, pending, cur_run
-            active = active[keep]
-            codes = codes[keep]
-            point = point[keep]
-            budget = budget[keep]
-            if any_fault:
-                pending = pending[keep]
-                cur_run = cur_run[keep]
-
-        def evaluate_legit(
-            codes_m: np.ndarray, enabled_m: np.ndarray, point_m: np.ndarray
-        ) -> np.ndarray:
-            # Homogeneous sweeps (one legitimacy/sampler signature — the
-            # Q1/Q2 shape) skip the row masking entirely: dispatch cost
-            # is only paid when points actually differ.
-            if len(legit_groups) == 1:
-                return legit_groups[0][0].evaluate(
-                    codes_m, enabled_m, engine
-                )
-            legit_m = np.zeros(len(point_m), dtype=bool)
-            for legitimacy, mask in legit_groups:
-                rows = mask[point_m]
-                if rows.any():
-                    legit_m[rows] = legitimacy.evaluate(
-                        codes_m[rows], enabled_m[rows], engine
-                    )
-            return legit_m
-
-        def choose(
-            enabled_m: np.ndarray, point_m: np.ndarray
-        ) -> np.ndarray:
-            if len(strategy_groups) == 1:
-                return strategy_groups[0][0].choose(enabled_m, generator)
-            movers_m = np.zeros_like(enabled_m)
-            for strategy, mask in strategy_groups:
-                rows = mask[point_m]
-                if rows.any():
-                    movers_m[rows] = strategy.choose(
-                        enabled_m[rows], generator
-                    )
-            return movers_m
-
-        step = 0
-        while active.size:
-            keys = tables.pack(codes)
-            enabled = tables.enabled(keys)
-            legit = evaluate_legit(codes, enabled, point)
-            if any_fault and pending.any():
-                spt = step_of_point[point]
-                fire = pending & ((spt == step) | ((spt == -1) & legit))
-                if fire.any():
-                    for member, fault in enumerate(faults):
-                        if fault is None:
-                            continue
-                        rows = np.flatnonzero(fire & (point == member))
-                        if not rows.size:
-                            continue
-                        trial_ids = active[rows] - offsets[member]
-                        fault.scatter(codes, rows, trial_ids)
-                        fault_times[active[rows]] = step
-                    pending[fire] = False
-                    # Re-derive the corrupted rows' state post-corruption.
-                    rows = np.flatnonzero(fire)
-                    keys[rows] = tables.pack(codes[rows])
-                    enabled[rows] = tables.enabled(keys[rows])
-                    legit[rows] = evaluate_legit(
-                        codes[rows], enabled[rows], point[rows]
-                    )
-            if any_fault:
-                observations[active] += 1
-                legit_counts[active] += legit
-                cur_run = np.where(legit, 0, cur_run + 1)
-                max_runs[active] = np.maximum(max_runs[active], cur_run)
-                done = legit & ~pending
-            else:
-                done = legit
-            if done.any():
-                retired = active[done]
-                times[retired] = step
-                converged[retired] = True
-                keep = ~done
-                retire(keep)
-                if not active.size:
-                    break
-                keys = keys[keep]
-                enabled = enabled[keep]
-            # Illegitimate terminal rows can never converge: censored,
-            # exactly as the scalar path and BatchEngine.run count them
-            # — unless a pending fixed-step fault may re-enable them, in
-            # which case they idle in place (time still passes).
-            terminal = ~enabled.any(axis=1)
-            if any_fault:
-                frozen = terminal & pending & (step_of_point[point] >= 0)
-                retire_terminal = terminal & ~frozen
-            else:
-                frozen = None
-                retire_terminal = terminal
-            if retire_terminal.any():
-                hit_terminal[active[retire_terminal]] = True
-                keep = ~retire_terminal
-                retire(keep)
-                if frozen is not None:
-                    frozen = frozen[keep]
-                if not active.size:
-                    break
-                keys = keys[keep]
-                enabled = enabled[keep]
-            over = budget <= step
-            if over.any():
-                timed_out[active[over]] = True
-                keep = ~over
-                retire(keep)
-                if frozen is not None:
-                    frozen = frozen[keep]
-                if not active.size:
-                    break
-                keys = keys[keep]
-                enabled = enabled[keep]
-            if frozen is not None and frozen.any():
-                move = ~frozen
-                movers = choose(enabled[move], point[move])
-                codes[move] = tables.sample(
-                    codes[move], keys[move], movers, generator
-                )
-            else:
-                movers = choose(enabled, point)
-                codes = tables.sample(codes, keys, movers, generator)
-            step += 1
 
         results: dict[int, MonteCarloResult] = {}
         start = 0
-        for (index, spec), count, fault in zip(
-            members, counts.tolist(), faults
-        ):
+        for (index, spec), count, fault in zip(members, counts, faults):
             rows = slice(start, start + count)
             start += count
-            if sink is not None:
-                sink(
-                    TrialOutcomes(
-                        point=index,
-                        label=spec.label,
-                        times=times[rows],
-                        converged=converged[rows],
-                        timed_out=timed_out[rows],
-                        hit_terminal=hit_terminal[rows],
-                        fault_times=(
-                            fault_times[rows] if fault is not None else None
-                        ),
-                    )
-                )
-            if fault is not None:
-                results[index] = fault_result_from_arrays(
-                    count,
-                    times[rows],
-                    converged[rows],
-                    hit_terminal[rows],
-                    timed_out[rows],
-                    fault_times[rows],
-                    legit_counts[rows],
-                    observations[rows],
-                    max_runs[rows],
-                    keep_samples,
-                )
-                continue
-            row_converged = converged[rows]
-            samples = [float(t) for t in times[rows][row_converged]]
-            results[index] = MonteCarloResult(
-                trials=count,
-                converged=len(samples),
-                censored=count - len(samples),
-                stats=summarize(samples) if samples else None,
-                round_stats=None,
-                samples=tuple(samples) if keep_samples else None,
-                timed_out=int(timed_out[rows].sum()),
+            results[index] = reduce_trials(
+                *point_outcomes(
+                    run, rows, fault is not None, index, spec.label
+                ),
+                keep_samples=keep_samples,
+                sink=sink,
             )
-        return results
+        return results, run.stepping
+
+
+def _dispatch_groups(
+    specs: Sequence[SweepPointSpec], signature: Callable
+) -> list[tuple[SweepPointSpec, np.ndarray]]:
+    """``(first member spec, member mask)`` per distinct signature, in
+    first-seen order."""
+    members: dict[tuple, list[int]] = {}
+    for position, spec in enumerate(specs):
+        members.setdefault(signature(spec), []).append(position)
+    groups = []
+    for positions in members.values():
+        mask = np.zeros(len(specs), dtype=bool)
+        mask[positions] = True
+        groups.append((specs[positions[0]], mask))
+    return groups

@@ -182,6 +182,30 @@ class TestRun:
             rng=RandomSource(0),
         )
         assert not result.converged
+        assert not result.hit_terminal
+
+    @pytest.mark.parametrize(
+        "initial,max_steps",
+        [
+            (((True,), (True,)), 0),  # terminal start, zero budget
+            (((False,), (False,)), 1),  # terminal on the last step
+        ],
+    )
+    def test_run_until_terminal_wins_over_budget(
+        self, two_process_system, initial, max_steps
+    ):
+        """Stopping in an illegitimate terminal configuration is
+        terminal, even when the budget ends on that very step."""
+        result = run_until(
+            two_process_system,
+            SynchronousSampler(),
+            initial,
+            stop=lambda c: False,
+            max_steps=max_steps,
+            rng=RandomSource(0),
+        )
+        assert not result.converged
+        assert result.hit_terminal
 
     def test_bad_sampler_empty_subset(self, two_process_system):
         class Empty:

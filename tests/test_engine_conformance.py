@@ -13,10 +13,9 @@ every execution tier against its oracle:
   deterministic algorithm under the synchronous sampler consumes no
   randomness, so all engines see identical initial draws) must be
   *identical*, censored trials included.
-* **Step backends**: every available backend (numpy fast paths, the
-  optional numba JIT) against the reference per-step loop on every
-  cell, bit-for-bit — including the fault axis, which always takes the
-  reference path.
+* **Stepping**: rank-space super-stepping against the per-step path of
+  the one lockstep loop on every cell, bit-for-bit — including the
+  fault axis, which always steps per step.
 * **Exact analysis**: compiled-vs-scalar chain building bit-equality
   and sharded-vs-sequential exploration bit-equality over the same
   registry systems.
@@ -41,11 +40,7 @@ from conformance_registry import (
     ks_bound,
     ks_statistic,
 )
-from repro.markov.backends import (
-    NumpyStepBackend,
-    available_backends,
-    get_step_backend,
-)
+import repro.markov.batch as batch_module
 from repro.markov.builder import build_chain
 from repro.markov.montecarlo import random_configurations
 from repro.markov.sweep_engine import SweepPointSpec, SweepRunner
@@ -242,73 +237,64 @@ def test_fused_multi_seed_replications_match_scalar(
 
 
 # ----------------------------------------------------------------------
-# step-backend axis: every available backend on every matrix cell
+# stepping axis: super-stepping against per-step on every matrix cell
 # ----------------------------------------------------------------------
-BACKEND_AXIS = available_backends()
-
-
-def _run_backend(entry, system, sampler_key, backend, seed, mode, fault=None):
-    runner = SweepRunner(engine="batch", backend=backend)
+def _run_stepping(entry, system, sampler_key, seed, mode, fault=None):
+    runner = SweepRunner(engine="batch")
     (result,) = runner.run(
         [_point(entry, system, sampler_key, seed, mode, fault)]
     )
     assert runner.last_plan[0].engine == "batch"
-    return result
+    return result, runner.last_plan[0].stepping
 
 
-@pytest.mark.parametrize("backend_name", BACKEND_AXIS)
 @pytest.mark.parametrize(
     "system_name,sampler_key,mode", MATRIX, ids=MATRIX_IDS
 )
-def test_step_backends_bit_equal_on_every_cell(
-    system_name, sampler_key, mode, backend_name
+def test_superstep_bit_equal_on_every_cell(
+    system_name, sampler_key, mode, monkeypatch
 ):
-    """Every available step backend reproduces the reference per-step
-    loop on every matrix cell *bit-for-bit*: the numpy backend's fast
-    paths (block-drawn scheduler randomness, rank-space super-stepping)
-    and the optional numba JIT all consume the random stream exactly
-    like the reference loop, so even stochastic cells must be identical
-    — a far stronger bar than the KS equivalence used across engines."""
+    """Every matrix cell runs twice: as the loop chooses (rank-space
+    super-stepping wherever the block qualifies) and forced per step by
+    a zero super-stepping state budget.  Outcomes must be identical
+    *bit-for-bit* — super-stepped first-hit times are exact, and a cell
+    that steps per step both times draws the same stream — a far
+    stronger bar than the KS equivalence used across engines."""
     entry = conformance_entry(system_name)
     system = conformance_system(system_name)
     seed = 515
-    reference = NumpyStepBackend(block_draw=False, superstep=False)
-    base = _run_backend(entry, system, sampler_key, reference, seed, mode)
-    under = _run_backend(
-        entry, system, sampler_key, get_step_backend(backend_name), seed, mode
+    chosen, _ = _run_stepping(entry, system, sampler_key, seed, mode)
+    monkeypatch.setattr(batch_module, "SUPERSTEP_BUDGET", 0)
+    per_step, stepping = _run_stepping(
+        entry, system, sampler_key, seed, mode
     )
-    assert base == under
+    assert stepping.startswith("per-step:")
+    assert chosen == per_step
 
 
-@pytest.mark.parametrize("backend_name", BACKEND_AXIS)
 @pytest.mark.parametrize(
     "system_name,sampler_key,mode", MATRIX, ids=MATRIX_IDS
 )
-def test_step_backends_bit_equal_under_fault(
-    system_name, sampler_key, mode, backend_name
+def test_superstep_bit_equal_under_fault(
+    system_name, sampler_key, mode, monkeypatch
 ):
-    """The fault axis under every backend: faulted runs always take the
-    reference per-step path, so every backend must produce identical
-    fault results — this pins the wiring (backend selection must not
-    perturb the fault timeline or its random stream)."""
+    """The fault axis: faulted blocks always step per step (reason
+    ``fault``), whatever the super-stepping budget — this pins the
+    wiring (the stepping choice must not perturb the fault timeline or
+    its random stream)."""
     entry = conformance_entry(system_name)
     system = conformance_system(system_name)
     seed = 1583
     fault = conformance_fault_plan(system, mode)
-    reference = NumpyStepBackend(block_draw=False, superstep=False)
-    base = _run_backend(
-        entry, system, sampler_key, reference, seed, mode, fault
+    chosen, stepping = _run_stepping(
+        entry, system, sampler_key, seed, mode, fault
     )
-    under = _run_backend(
-        entry,
-        system,
-        sampler_key,
-        get_step_backend(backend_name),
-        seed,
-        mode,
-        fault,
+    monkeypatch.setattr(batch_module, "SUPERSTEP_BUDGET", 0)
+    per_step, _ = _run_stepping(
+        entry, system, sampler_key, seed, mode, fault
     )
-    assert base == under
+    assert stepping == "per-step:fault"
+    assert chosen == per_step
 
 
 # ----------------------------------------------------------------------

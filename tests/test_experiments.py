@@ -178,6 +178,17 @@ class TestCli:
                 parser.parse_args(["run", "FIG1", "--shards", bad])
             assert "positive integer or 'auto'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags", [["--backend", "numpy"], ["--fused"], ["--no-fused"]]
+    )
+    def test_run_rejects_removed_engine_flags(self, flags, capsys):
+        """Every Monte-Carlo batch runs one lockstep loop and sweeps
+        always fuse, so the old step-backend and fusion switches are
+        refused rather than silently ignored."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "Q1", *flags])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_report_command(self, tmp_path, capsys, monkeypatch):
         # run a single cheap experiment by monkeypatching the registry run
         from repro.experiments import registry

@@ -23,8 +23,6 @@ from repro.markov.sweep_engine import (
     SWEEP_ENGINES,
     SweepPointSpec,
     SweepRunner,
-    default_fusion,
-    set_default_fusion,
 )
 from repro.random_source import RandomSource
 from repro.schedulers.samplers import (
@@ -427,25 +425,15 @@ class TestBatchEscapeHatches:
         assert results[0].converged == 5
 
 
-class TestDefaultFusionFlag:
-    def test_no_fused_flag_restores_per_point_auto(self):
-        assert default_fusion() is True
-        try:
-            set_default_fusion(False)
-            runner = SweepRunner(engine="auto")
-            runner.run([ring_point(seed=1, trials=10)])
-            assert runner.last_plan[0].engine == "per-point-auto"
-        finally:
-            set_default_fusion(True)
+class TestAutoEngineFuses:
+    def test_auto_engine_fuses_fusable_points(self):
+        runner = SweepRunner(engine="auto")
+        runner.run([ring_point(seed=1, trials=10)])
+        assert runner.last_plan[0].engine == "fused"
 
-    def test_explicit_fused_ignores_flag(self):
-        try:
-            set_default_fusion(False)
-            runner = SweepRunner(engine="fused")
-            runner.run([ring_point(seed=1, trials=10)])
-            assert runner.last_plan[0].engine == "fused"
-        finally:
-            set_default_fusion(True)
+    def test_per_point_auto_engine_is_gone(self):
+        with pytest.raises(MarkovError, match="unknown engine"):
+            SweepRunner(engine="per-point-auto")
 
 
 class TestSweepFusedEntryPoint:
